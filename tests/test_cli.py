@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import zlib
+from pathlib import Path
 
 from mcg.cli import main
 from mcg.report import _VERDICT_COLORS
@@ -99,6 +100,17 @@ def test_json_report_byte_stable(tmp_path):
     doc = json.loads(a)
     st = doc["scripts"][0]["statements"][0]
     assert set(st) >= {"statement", "verdict", "oracle", "budget_used", "witness"}
+
+
+# The default replays' JSON report with the clock fields masked. Regenerate it
+# only in a change that says why the report bytes moved.
+GOLDEN_DEFAULT_JSON = Path(__file__).parent / "data" / "verify-default.json"
+
+
+def test_default_verify_matches_golden_json(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--format", "json", "--out", str(out)]) == 0
+    assert _mask_clock(out.read_text(encoding="utf-8")) == GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8")
 
 
 def test_report_dir_writes_csv_and_figures(tmp_path):
