@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
 from .labels import ChainShift, CurveLabel, ShiftLabel
-from .models import AliasMap, Automorphism, SurfaceModel
+from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Twist, Word
 
 # basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
@@ -114,13 +114,32 @@ def _twist_apply(v: Vec, cls: Vec, exp: int) -> Vec:
     return out
 
 
+def _aut_key(aut: Automorphism, key: Key) -> Key:
+    """Basis key carried by a symmetry's label action."""
+    if aut.kind == "sn":
+        return (key[0], aut._map_end(key[1]), key[2])
+    return (key[0], aut._map_index(key[1]))
+
+
+def _shift_key(h: ShiftLabel, exp: int, key: Key) -> Key | None:
+    """Basis key carried by the shift ``h^exp``; None when it would cross
+    the central region."""
+    end = key[1]
+    if end not in (h.from_end, h.to_end):
+        return key
+    attract = h.to_end if exp > 0 else h.from_end
+    genus = key[2] + 1 if end == attract else key[2] - 1
+    if genus < 1:
+        return None
+    return (key[0], end, genus)
+
+
 class _ColumnTracker:
     """Applies a word to one basis vector, right to left, tracking validity."""
 
-    def __init__(self, basis: TruncatedBasis, aliases: AliasMap | None):
+    def __init__(self, basis: TruncatedBasis):
         self.basis = basis
         self.model = basis.model
-        self.aliases = aliases
         self._classes: dict[CurveLabel, Vec] = {}
         self._auts: dict[tuple[str, int], Automorphism] = {}
 
@@ -133,25 +152,8 @@ class _ColumnTracker:
     def aut(self, name: str, exp: int) -> Automorphism:
         hit = self._auts.get((name, exp))
         if hit is None:
-            hit = self._auts[(name, exp)] = self.model.automorphism_of_word(
-                [(name, exp)], self.aliases
-            )
+            hit = self._auts[(name, exp)] = self.model.automorphism_of_word([(name, exp)])
         return hit
-
-    def _aut_key(self, aut: Automorphism, key: Key) -> Key:
-        if self.model.kind == "sn":
-            return (key[0], aut._map_end(key[1]), key[2])
-        return (key[0], aut._map_index(key[1]))
-
-    def _shift_key(self, h: ShiftLabel, exp: int, key: Key) -> Key | None:
-        end = key[1]
-        if end not in (h.from_end, h.to_end):
-            return key
-        attract = h.to_end if exp > 0 else h.from_end
-        genus = key[2] + 1 if end == attract else key[2] - 1
-        if genus < 1:
-            return None  # would cross the central region
-        return (key[0], end, genus)
 
     def apply(self, letters: Sequence[Letter], start: Key) -> Vec | None:
         """Column of the word matrix at ``start``; None when masked out."""
@@ -163,7 +165,7 @@ class _ColumnTracker:
                 out: Vec = {}
                 ok = True
                 for key, c in v.items():
-                    nk = self._shift_key(g.label, g.exp, key)
+                    nk = _shift_key(g.label, g.exp, key)
                     if nk is None or not self.basis.in_window(nk):
                         ok = False
                         break
@@ -175,7 +177,7 @@ class _ColumnTracker:
                 aut = self.aut(g.name, g.exp)
                 out = {}
                 for key, c in v.items():
-                    nk = self._aut_key(aut, key)
+                    nk = _aut_key(aut, key)
                     if not self.basis.in_window(nk):
                         return None
                     out[nk] = out.get(nk, 0) + c
@@ -238,7 +240,6 @@ def verify_identity_homology(
     w1: Word,
     w2: Word,
     window: int,
-    aliases: AliasMap | None = None,
 ) -> HomologyResult:
     """Compare the homology matrices of two words column by column on the
     common valid subspace.
@@ -253,7 +254,7 @@ def verify_identity_homology(
         return HomologyResult("Inconclusive", "model mismatch")
     model = w1.model
     basis = TruncatedBasis(model, window)
-    tracker = _ColumnTracker(basis, aliases)
+    tracker = _ColumnTracker(basis)
     top, disp = _support_bound((w1, w2))
     reach = top + disp + 1
 
@@ -374,15 +375,12 @@ def twist_matrix(basis: TruncatedBasis, c: CurveLabel) -> IntMatrix:
     return IntMatrix(basis, out, frozenset(basis.keys()))
 
 
-def symmetry_matrix(
-    basis: TruncatedBasis, s: str, aliases: AliasMap | None = None
-) -> IntMatrix:
-    tracker = _ColumnTracker(basis, aliases)
-    aut = basis.model.automorphism_of_word([(s, 1)], aliases)
+def symmetry_matrix(basis: TruncatedBasis, s: str) -> IntMatrix:
+    aut = basis.model.automorphism_of_word([(s, 1)])
     cols: dict[Key, Vec] = {}
     valid: set[Key] = set()
     for k in basis.keys():
-        nk = tracker._aut_key(aut, k)
+        nk = _aut_key(aut, k)
         if basis.in_window(nk):
             cols[k] = {nk: 1}
             valid.add(k)
@@ -395,7 +393,6 @@ def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix
     """Matrix of a handle shift with its edge mask."""
     if basis.window < 3:
         raise OutOfWindow("shift matrices need window >= 3")
-    tracker = _ColumnTracker(basis, None)
     cols: dict[Key, Vec] = {}
     valid: set[Key] = set()
     for k in basis.keys():
@@ -403,7 +400,7 @@ def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix
             nk = (k[0], k[1] + h.step)
             nk2 = nk if basis.in_window(nk) else None
         else:
-            nk2 = tracker._shift_key(h, 1, k)
+            nk2 = _shift_key(h, 1, k)
             if nk2 is not None and not basis.in_window(nk2):
                 nk2 = None
         if nk2 is None:
@@ -414,10 +411,10 @@ def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix
     return IntMatrix(basis, cols, frozenset(valid))
 
 
-def word_matrix(basis: TruncatedBasis, w: Word, aliases: AliasMap | None = None) -> IntMatrix:
+def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
     """Product of the factor matrices in application order, masked columns
     dropped as their trajectories leave the window."""
-    tracker = _ColumnTracker(basis, aliases)
+    tracker = _ColumnTracker(basis)
     cols: dict[Key, Vec] = {}
     valid: set[Key] = set()
     for k in basis.keys():

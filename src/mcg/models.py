@@ -39,8 +39,6 @@ from typing import Sequence
 from .errors import InvalidLabel, McgError, UndefinedSymmetry
 from .labels import FAMILIES, CurveLabel, ShiftLabel
 
-AliasMap = dict[str, tuple[tuple[str, int], ...]]
-
 
 # ---------------------------------------------------------------------------
 # adjacency rules
@@ -354,7 +352,7 @@ class SurfaceModel:
     def symmetry_names(self) -> tuple[str, ...]:
         return tuple(self.symmetries)
 
-    def automorphism(self, name: str, aliases: AliasMap | None = None) -> Automorphism:
+    def automorphism(self, name: str) -> Automorphism:
         spec = self.symmetries.get(name)
         if spec is not None:
             if spec.kind != "affine":
@@ -362,22 +360,16 @@ class SurfaceModel:
                     f"{name} acts on the ends only; it has no action on the standard labels"
                 )
             return Automorphism(self.kind, self.n, spec.u, spec.v, spec.swap)
-        word = None
-        if aliases is not None and name in aliases:
-            word = aliases[name]
-        elif name in self.aliases:
-            word = self.aliases[name]
+        word = self.aliases.get(name)
         if word is None:
             raise UndefinedSymmetry(f"unknown symmetry {name!r} in {self.describe()}")
-        return self.automorphism_of_word(word, aliases)
+        return self.automorphism_of_word(word)
 
-    def automorphism_of_word(
-        self, letters: Sequence[tuple[str, int]], aliases: AliasMap | None = None
-    ) -> Automorphism:
+    def automorphism_of_word(self, letters: Sequence[tuple[str, int]]) -> Automorphism:
         """Compose the actions of ``(name, exponent)`` letters, leftmost applied last."""
         aut = Automorphism.identity(self)
         for name, exp in letters:
-            a = self.automorphism(name, aliases)
+            a = self.automorphism(name)
             if exp < 0:
                 a, exp = a.inverse(), -exp
             step = Automorphism.identity(self)
@@ -497,16 +489,12 @@ def intersection_number(model: SurfaceModel, c1: CurveLabel, c2: CurveLabel) -> 
     return model.intersection(c1, c2)
 
 
-def apply_symmetry(
-    model: SurfaceModel, s: str, c: CurveLabel, aliases: AliasMap | None = None
-) -> CurveLabel:
-    return model.automorphism(s, aliases).act_curve(model.check_curve(c))
+def apply_symmetry(model: SurfaceModel, s: str, c: CurveLabel) -> CurveLabel:
+    return model.automorphism(s).act_curve(model.check_curve(c))
 
 
-def apply_symmetry_shift(
-    model: SurfaceModel, s: str, h: ShiftLabel, aliases: AliasMap | None = None
-) -> tuple[ShiftLabel, int]:
-    return model.automorphism(s, aliases).act_shift(h, 1)
+def apply_symmetry_shift(model: SurfaceModel, s: str, h: ShiftLabel) -> tuple[ShiftLabel, int]:
+    return model.automorphism(s).act_shift(h, 1)
 
 
 def validate_model(model: SurfaceModel, window: int) -> ValidationReport:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import McgError
-from .models import AliasMap
 from .words import Sym, Word
 
 
@@ -119,7 +118,7 @@ class Permutation:
         return Permutation(tuple(images))
 
 
-def project(w: Word, aliases: AliasMap | None = None) -> Permutation:
+def project(w: Word) -> Permutation:
     """Image of a word in the symmetric group on the ends of its model."""
     n = w.model.n
     perm = Permutation.identity(n)

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, NotAnInvolution, UndefinedSymmetry
 from .labels import CurveLabel, FAMILY_RANK
-from .models import AliasMap, Automorphism, SurfaceModel
+from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Sym, Twist, Word, empty_word, invert
 
 DEFAULT_BUDGET = 100_000
@@ -117,6 +117,9 @@ def shift_relabel(model: SurfaceModel, h, exp: int, c: CurveLabel) -> CurveLabel
 
 
 class _Ctx:
+    """Commutation and sort-key memo tables of one model; the model holds
+    it (see ``_ctx``), so it is freed with the model."""
+
     def __init__(self, model: SurfaceModel):
         self.model = model
         self._comm: dict[tuple, bool] = {}
@@ -160,13 +163,11 @@ class _Ctx:
         return (2, g.name, g.exp, 0, 0)
 
 
-_CTXES: dict[int, _Ctx] = {}
-
-
 def _ctx(model: SurfaceModel) -> _Ctx:
-    ctx = _CTXES.get(id(model))
-    if ctx is None or ctx.model is not model:
-        ctx = _CTXES[id(model)] = _Ctx(model)
+    ctx = getattr(model, "_rewrite_ctx", None)
+    if ctx is None:
+        ctx = _Ctx(model)
+        object.__setattr__(model, "_rewrite_ctx", ctx)
     return ctx
 
 
@@ -174,9 +175,7 @@ def _ctx(model: SurfaceModel) -> _Ctx:
 # symmetry pushing
 
 
-def split_symmetries(
-    w: Word, aliases: AliasMap | None = None
-) -> tuple[list[Letter], Automorphism, list[Letter]]:
+def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism, list[Letter]]:
     """(relabelled twist/shift letters, composite automorphism, original
     symmetry letters in order). Raises UndefinedSymmetry when a symmetry
     without a label action (the end swap on sn) must pass over a letter."""
@@ -186,7 +185,7 @@ def split_symmetries(
     tail: list[Letter] = []
     for g in w.letters:
         if isinstance(g, Sym):
-            step = model.automorphism_of_word([(g.name, g.exp)], aliases)
+            step = model.automorphism_of_word([(g.name, g.exp)])
             aut = aut.compose(step)
             tail.append(g)
         elif isinstance(g, Twist):
@@ -197,11 +196,11 @@ def split_symmetries(
     return core, aut, tail
 
 
-def push_symmetries(w: Word, aliases: AliasMap | None = None) -> Word:
+def push_symmetries(w: Word) -> Word:
     """All symmetry letters moved to the right end; equals ``w`` in the group.
     A tail whose composite label action is the identity is dropped (the
     models act faithfully through their declared label actions)."""
-    core, aut, tail = split_symmetries(w, aliases)
+    core, aut, tail = split_symmetries(w)
     if aut.is_identity():
         tail = []
     return Word(w.model, tuple(core) + tuple(tail))
@@ -362,8 +361,6 @@ def _search(
     seen: dict[tuple[Letter, ...], tuple | None] = {start: None}
     best = start
     best_rank = (len(start), tuple(ctx.key(g) for g in start))
-    if stop_at_empty and not start:
-        return start, ()
     heap = [(len(start), next(counter), start)]
     while heap:
         _, _, cur = heapq.heappop(heap)
@@ -390,6 +387,18 @@ def _trace(seen: dict, node: tuple) -> tuple[str, ...]:
     return tuple(reversed(moves))
 
 
+def _decide(
+    model: SurfaceModel, letters: Sequence[Letter], budget: Budget, stop_at_empty: bool
+) -> tuple[tuple[Letter, ...], tuple[str, ...]]:
+    """Commutation-canonical form, then the braid search from it. Returns
+    the form reached and its move trace; a word that the canonical form
+    already empties has the trace ``("canonical",)``."""
+    start = canonical(model, letters, budget)
+    if not start:
+        return start, ("canonical",)
+    return _search(model, start, budget, stop_at_empty)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -403,46 +412,25 @@ class NormalizeResult:
 
 
 def reduce_word(w: Word, budget: int = DEFAULT_BUDGET) -> Word:
-    """Sound reduction to the shortest form found within the budget
-    (symmetry push, commutation canonical form, braid minimization); keeps
-    bound names from snowballing during replay."""
-    b = Budget(budget)
-    model = w.model
-    try:
-        core, aut, tail = split_symmetries(w)
-    except UndefinedSymmetry:
-        try:
-            return Word(model, canonical(model, list(w.letters), b))
-        except BudgetExhausted:
-            return w
-    try:
-        form = canonical(model, core, b)
-        form, _trace = _search(model, form, b, stop_at_empty=False)
-    except BudgetExhausted:
-        try:
-            form = canonical(model, core, Budget(max(budget, 4 * len(core))))
-        except BudgetExhausted:
-            form = tuple(core)
-    tail_letters = () if aut.is_identity() else tuple(tail)
-    return Word(model, form + tail_letters)
+    """Shortest form of ``w`` found within the budget, or ``w`` itself when
+    the budget runs out; keeps bound names from snowballing during replay."""
+    return normalize(w, budget).word
 
 
-def normalize(
-    w: Word, budget: int = DEFAULT_BUDGET, aliases: AliasMap | None = None
-) -> NormalizeResult:
-    """Deterministic canonical-ish form of ``w`` within the budget."""
+def normalize(w: Word, budget: int = DEFAULT_BUDGET) -> NormalizeResult:
+    """Deterministic canonical-ish form of ``w`` within the budget: symmetry
+    push, commutation canonical form, braid minimization."""
     model = w.model
     b = Budget(budget)
     try:
         try:
-            core, aut, tail = split_symmetries(w, aliases)
+            core, aut, tail = split_symmetries(w)
         except UndefinedSymmetry:
             form = canonical(model, list(w.letters), b)
             return NormalizeResult(True, Word(model, form), ("symmetry-blocked",), b.spent)
-        start = canonical(model, core, b)
-        best, trace = _search(model, start, b, stop_at_empty=False)
+        form, trace = _decide(model, core, b, stop_at_empty=False)
         tail_letters = () if aut.is_identity() else tuple(tail)
-        return NormalizeResult(True, Word(model, best + tail_letters), trace, b.spent)
+        return NormalizeResult(True, Word(model, form + tail_letters), trace, b.spent)
     except BudgetExhausted:
         return NormalizeResult(False, w, ("budget-exhausted",), b.spent)
 
@@ -452,7 +440,6 @@ def equivalent(
     w2: Word,
     budget: int = DEFAULT_BUDGET,
     window: int = DEFAULT_WINDOW,
-    aliases: AliasMap | None = None,
     oracles: bool = True,
 ) -> Verdict:
     """Decide w1 = w2: ProvedEqual via normalization of w1 w2^-1 to the empty
@@ -464,13 +451,10 @@ def equivalent(
     b = Budget(budget)
     reason = "not reduced to the empty word"
     try:
-        core, aut, _tail = split_symmetries(w, aliases)
+        core, aut, _tail = split_symmetries(w)
         if aut.is_identity():
-            start = canonical(model, core, b)
-            if not start:
-                return ProvedEqual(("canonical",), b.spent)
-            best_form, trace = _search(model, start, b, stop_at_empty=True)
-            if not best_form:
+            form, trace = _decide(model, core, b, stop_at_empty=True)
+            if not form:
                 return ProvedEqual(trace, b.spent)
         else:
             reason = "symmetry parts differ as label automorphisms"
@@ -485,11 +469,11 @@ def equivalent(
     from .homology import verify_identity_homology
     from .permgroup import project
 
-    p1, p2 = project(w1, aliases=aliases), project(w2, aliases=aliases)
+    p1, p2 = project(w1), project(w2)
     if p1 != p2:
         e = next(e for e in range(1, model.n + 1) if p1(e) != p2(e))
         return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}")
-    hom = verify_identity_homology(w1, w2, window, aliases=aliases)
+    hom = verify_identity_homology(w1, w2, window)
     if hom.status == "Refuted":
         return ProvedDistinct("homology", hom.witness)
     return Unknown(reason, b.spent)
@@ -500,7 +484,6 @@ def check_involution(
     x: Word,
     budget: int = DEFAULT_BUDGET,
     window: int = DEFAULT_WINDOW,
-    aliases: AliasMap | None = None,
 ) -> Verdict:
     """Certify that (rho x)^2 = 1 given rho^2 = 1.
 
@@ -509,7 +492,7 @@ def check_involution(
     """
     if rho.model is not x.model:
         raise ModelMismatch("words over different models")
-    rr = equivalent(rho * rho, empty_word(rho.model), budget, window, aliases)
+    rr = equivalent(rho * rho, empty_word(rho.model), budget, window)
     if rr.kind != "ProvedEqual":
         raise NotAnInvolution(f"conjugator squared is not provably trivial: {rr.kind}")
-    return equivalent(rho * x * rho, invert(x), budget, window, aliases)
+    return equivalent(rho * x * rho, invert(x), budget, window)

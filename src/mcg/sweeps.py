@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import TruncatedBasis, _twist_apply, pairing, verify_identity_homology
+from .homology import TruncatedBasis, _aut_key, _twist_apply, pairing, verify_identity_homology
 from .models import SurfaceModel
 from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
@@ -166,10 +166,7 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
         aut = model.automorphism(name)
         seen = {}
         for key in basis.keys():
-            if model.kind == "sn":
-                img = (key[0], aut._map_end(key[1]), key[2])
-            else:
-                img = (key[0], aut._map_index(key[1]))
+            img = _aut_key(aut, key)
             checked += 1
             if img in seen:
                 issues.append(f"{name} maps two classes onto {img}")
@@ -234,11 +231,8 @@ def cross_oracle_random_pairs(
         if v.kind != "ProvedEqual":
             continue
         proved += 1
-        try:
-            if project(w1) != project(w2):
-                violations.append(f"engine proved {w1} = {w2} but projections differ")
-        except Exception:
-            pass
+        if project(w1) != project(w2):
+            violations.append(f"engine proved {w1} = {w2} but projections differ")
         hom = verify_identity_homology(w1, w2, window)
         if hom.status == "Refuted":
             violations.append(f"engine proved {w1} = {w2} but homology refutes: {hom.witness}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mcg.errors import OutOfWindow
@@ -77,12 +79,12 @@ def test_symmetry_matrix_involution_and_rotation_order(sn16):
 
 
 def test_symmetry_conjugates_twist_matrix(sn17):
-    basis = TruncatedBasis(sn17, 3)
-    aliases = {"rho3": (("R", 4), ("rho1", 1), ("R", -4))}
-    rho = symmetry_matrix(basis, "rho3", aliases)
+    model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
+    basis = TruncatedBasis(model, 3)
+    rho = symmetry_matrix(basis, "rho3")
     a1 = twist_matrix(basis, sn17.curve("A", 1, 1))
     image = twist_matrix(basis, sn17.curve("Ap", 1, 9))
-    got = rho @ a1 @ symmetry_matrix(basis, "rho3", aliases)  # rho3 is an involution
+    got = rho @ a1 @ rho  # rho3 is an involution
     ok, key = got.equal_on_valid(image)
     assert ok, key
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mcg import apply_symmetry, apply_symmetry_shift, intersection_number, validate_model
@@ -40,35 +42,35 @@ def test_star_pattern_within_one_strand(sn17):
 
 
 def test_apply_symmetry_rho3(sn17):
-    aliases = {"rho3": (("R", 4), ("rho1", 1), ("R", -4))}
-    img = apply_symmetry(sn17, "rho3", sn17.curve("A", 1, 1), aliases)
+    model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
+    img = apply_symmetry(model, "rho3", sn17.curve("A", 1, 1))
     assert img == sn17.curve("Ap", 1, 9)
-    assert apply_symmetry(sn17, "rho3", sn17.curve("C", 0, 1), aliases) == sn17.curve("C", 0, 8)
-    assert apply_symmetry(sn17, "rho3", sn17.curve("B", 1, 4), aliases) == sn17.curve("B", 1, 6)
+    assert apply_symmetry(model, "rho3", sn17.curve("C", 0, 1)) == sn17.curve("C", 0, 8)
+    assert apply_symmetry(model, "rho3", sn17.curve("B", 1, 4)) == sn17.curve("B", 1, 6)
 
 
 def test_apply_symmetry_rotation_shifts_ends(sn17):
-    aliases = {"R2": (("R", 2),)}
-    assert apply_symmetry(sn17, "R2", sn17.curve("A", 1, 1), aliases) == sn17.curve("A", 1, 3)
+    model = replace(sn17, aliases={"R2": (("R", 2),)})
+    assert apply_symmetry(model, "R2", sn17.curve("A", 1, 1)) == sn17.curve("A", 1, 3)
 
 
 def test_apply_symmetry_chain_shift_inverse(lochness):
-    aliases = {"Hinv": (("H", -1),)}
-    img = apply_symmetry(lochness, "Hinv", lochness.curve("B", 2), aliases)
+    model = replace(lochness, aliases={**lochness.aliases, "Hinv": (("H", -1),)})
+    img = apply_symmetry(model, "Hinv", lochness.curve("B", 2))
     assert img == lochness.curve("B", 1)
 
 
 def test_apply_symmetry_shift_reflection_flips(sn17):
-    aliases = {"rho3": (("R", 4), ("rho1", 1), ("R", -4))}
+    model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
     h, _ = sn17.shift(13, 14)
-    assert apply_symmetry_shift(sn17, "rho3", h, aliases) == (h, -1)
+    assert apply_symmetry_shift(model, "rho3", h) == (h, -1)
     assert apply_symmetry_shift(sn17, "R", h) == (sn17.shift(14, 15)[0], 1)
 
 
 def test_identity_on_shift(sn16):
-    aliases = {"e": ()}
+    model = replace(sn16, aliases={"e": ()})
     h, _ = sn16.shift(1, 2)
-    assert apply_symmetry_shift(sn16, "e", h, aliases) == (h, 1)
+    assert apply_symmetry_shift(model, "e", h) == (h, 1)
 
 
 def test_tau_has_no_label_action(sn17):

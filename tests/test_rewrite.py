@@ -1,12 +1,17 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcg import load_model
 from mcg.errors import NotAnInvolution
 from mcg.homology import TruncatedBasis, word_matrix
 from mcg.rewrite import (
+    Budget,
+    canonical,
     check_involution,
     equivalent,
     normalize,
@@ -187,6 +192,25 @@ def test_reduce_word_shrinks_without_changing_value(sn17):
     red = reduce_word(blown)
     assert len(red) <= len(f1)
     assert equivalent(red, f1).kind == "ProvedEqual"
+
+
+# -- rewrite caches ------------------------------------------------------------
+
+
+def test_rewrite_cache_is_freed_with_its_model():
+    model = load_model("sn", 17)
+    canonical(model, [tw(model, "B", 1, 1), tw(model, "A", 1, 1)], Budget(100))
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_without_adjacency_copy_has_its_own_commutation_table(sn17):
+    a, b = tw(sn17, "A", 1, 1), tw(sn17, "B", 1, 1)
+    assert canonical(sn17, [b, a], Budget(100)) == (b, a)  # A and B meet once
+    cut = sn17.without_adjacency(a.label, b.label)
+    assert canonical(cut, [b, a], Budget(100)) == (a, b)
 
 
 # -- check_involution ----------------------------------------------------------
