@@ -30,7 +30,12 @@ BUILTIN_SCRIPTS = ("thmA", "thmB", "thmC", "thmD")
 
 def _budget_default() -> int:
     env = os.environ.get("MCG_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise McgError(f"MCG_BUDGET={env!r}: not an integer") from None
 
 
 def _load_script_text(name: str) -> tuple[str, str]:
@@ -248,12 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ScriptError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except McgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

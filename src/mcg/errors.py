@@ -49,6 +49,9 @@ class ScriptError(McgError):
         self.line = line
         self.column = column
 
+    def __reduce__(self):  # rebuilt from its fields when sent back by a --jobs worker
+        return (type(self), (self.message, self.line, self.column))
+
 
 class ParseError(ScriptError):
     pass
@@ -66,7 +69,10 @@ class ModelFileError(McgError):
     """Model file parse error with position."""
 
     def __init__(self, message: str, path: str, line: int):
-        super().__init__(f"{path}:{line}: {message}")
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
         self.message = message
         self.path = path
         self.line = line
+
+    def __reduce__(self):  # rebuilt from its fields when sent back by a --jobs worker
+        return (type(self), (self.message, self.path, self.line))

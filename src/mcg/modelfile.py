@@ -98,7 +98,11 @@ def _parse_cycles(text: str, where: tuple[str, int]) -> tuple[int, ...]:
     points: dict[int, int] = {}
     top = 0
     for cyc in cycles:
-        elems = [int(t) for t in cyc.split()]
+        elems = []
+        for t in cyc.split():
+            if not t.isdecimal() or int(t) < 1:
+                raise ModelFileError(f"bad point {t!r} in permutation {text!r} (points start at 1)", path, line)
+            elems.append(int(t))
         top = max(top, *elems) if elems else top
         for a, b in zip(elems, elems[1:] + elems[:1]):
             if a in points:
@@ -195,8 +199,12 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
 
 
 def parse_model_file(path: str, n: int | None = None) -> SurfaceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_text(fh.read(), n=n, path=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ModelFileError(f"cannot read the model file: {e.strerror or e}", path, 0) from None
+    return parse_model_text(text, n=n, path=path)
 
 
 def builtin_model_text(kind: str) -> str:

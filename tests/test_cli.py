@@ -51,6 +51,28 @@ def test_corrupt_model_file_reports_position(tmp_path, capsys):
     assert "bad.model:2" in err
 
 
+def test_bad_permutation_point_reports_position(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    for perm in ("(1 ])", "(1 0)"):
+        bad.write_text(f"kind sn\nsym tau perm {perm}\n")
+        assert main(["selfcheck", "--model-file", str(bad), "--n", "17"]) == 2
+        assert "bad.model:2" in capsys.readouterr().err
+
+
+def test_missing_model_file_exit_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing.model")
+    assert main(["selfcheck", "--model-file", missing]) == 2
+    assert missing in capsys.readouterr().err
+    assert main(["verify", "thmC", "--jobs", "2", "--model-file", missing]) == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_non_integer_budget_env_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("MCG_BUDGET", "abc")
+    assert main(["verify", "thmC"]) == 2
+    assert "MCG_BUDGET" in capsys.readouterr().err
+
+
 def test_selfcheck_window_one_exit_two(capsys):
     assert main(["selfcheck", "--window", "1"]) == 2
     assert "window" in capsys.readouterr().err
