@@ -20,15 +20,16 @@ from pathlib import Path
 from .replay import ReplayReport
 from .script import CONVENTIONS_TEXT
 
+# one colour per verdict, so summary bars are told apart without their order
 _VERDICT_COLORS = {
     "ProvedEqual": "#2a7e43",
-    "Yes": "#2a7e43",
+    "Yes": "#7fbf3f",
     "bound": "#7a7a7a",
     "Unknown": "#c98a00",
     "ProvedDistinct": "#b3262a",
-    "No": "#b3262a",
-    "error": "#b3262a",
-    "NotAnInvolution": "#b3262a",
+    "No": "#e0604a",
+    "error": "#6a1b9a",
+    "NotAnInvolution": "#d0418e",
 }
 
 

@@ -6,7 +6,7 @@ import zlib
 from pathlib import Path
 
 from mcg.cli import main
-from mcg.report import _VERDICT_COLORS
+from mcg.report import _OTHER_COLOR, _VERDICT_COLORS
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -184,6 +184,8 @@ def test_report_dir_pngs_are_valid_and_stable(tmp_path):
         verdicts = {row["verdict"] for row in csv.DictReader(fh)}
     for verdict in verdicts:
         assert bytes.fromhex(_VERDICT_COLORS[verdict].lstrip("#")) in summary, verdict
+    colors = [*_VERDICT_COLORS.values(), _OTHER_COLOR]
+    assert len(set(colors)) == len(colors)
 
 
 def test_report_dir_on_a_file_exit_two(tmp_path, capsys):
