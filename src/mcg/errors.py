@@ -66,7 +66,7 @@ class Redefinition(ScriptError):
 
 
 class ModelFileError(McgError):
-    """Model file parse error with position."""
+    """Model file error with its position; ``line`` 0 means the file as a whole."""
 
     def __init__(self, message: str, path: str, line: int):
         super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
