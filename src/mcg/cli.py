@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import McgError, ScriptError, WindowTooSmall
+from .errors import McgError
 from .homology import TruncatedBasis, transvection_selftest, word_matrix
 from .modelfile import load_model, parse_model_file
 from .permgroup import Permutation, certify_full_symmetric, group_order, project
@@ -79,10 +79,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 reports = list(pool.map(_run_one, jobs))
         else:
             reports = [_run_one(j) for j in jobs]
-    except ScriptError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (WindowTooSmall, McgError, OSError) as e:
+    except (McgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -175,7 +172,7 @@ def _word_from_text(args: argparse.Namespace):
 def cmd_project(args: argparse.Namespace) -> int:
     try:
         model, w = _word_from_text(args)
-    except (ScriptError, McgError) as e:
+    except McgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(project(w).cycle_notation())
@@ -185,7 +182,7 @@ def cmd_project(args: argparse.Namespace) -> int:
 def cmd_normalize(args: argparse.Namespace) -> int:
     try:
         model, w = _word_from_text(args)
-    except (ScriptError, McgError) as e:
+    except McgError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     res = normalize(w, args.budget)

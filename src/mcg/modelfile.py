@@ -90,7 +90,7 @@ def _label_pattern(text: str, kind: str, where: tuple[str, int]) -> LabelPattern
     return LabelPattern(fam, _index_pattern(parts[0], "k", where), None)
 
 
-def _parse_cycles(text: str, where: tuple[str, int]) -> tuple[int, ...]:
+def _parse_cycles(text: str, n: int, where: tuple[str, int]) -> tuple[int, ...]:
     path, line = where
     cycles = re.findall(r"\(([^()]*)\)", text)
     if not cycles or re.sub(r"\([^()]*\)|\s", "", text):
@@ -102,6 +102,8 @@ def _parse_cycles(text: str, where: tuple[str, int]) -> tuple[int, ...]:
         for t in cyc.split():
             if not t.isdecimal() or int(t) < 1:
                 raise ModelFileError(f"bad point {t!r} in permutation {text!r} (points start at 1)", path, line)
+            if int(t) > n:
+                raise ModelFileError(f"point {t} in permutation {text!r} is above n={n}", path, line)
             elems.append(int(t))
         top = max(top, *elems) if elems else top
         for a, b in zip(elems, elems[1:] + elems[:1]):
@@ -168,7 +170,7 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
             if name in symmetries:
                 raise ModelFileError(f"symmetry {name!r} already declared", path, lineno)
             if sort == "perm":
-                symmetries[name] = SymmetrySpec(name, "perm", perm=_parse_cycles(spec, where))
+                symmetries[name] = SymmetrySpec(name, "perm", perm=_parse_cycles(spec, n, where))
                 continue
             swap = False
             if spec.endswith("swap"):

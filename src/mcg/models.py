@@ -349,9 +349,6 @@ class SurfaceModel:
 
     # -- symmetries ---------------------------------------------------------
 
-    def symmetry_names(self) -> tuple[str, ...]:
-        return tuple(self.symmetries)
-
     def automorphism(self, name: str) -> Automorphism:
         spec = self.symmetries.get(name)
         if spec is not None:

@@ -225,10 +225,6 @@ class PermGroup:
             out *= len(t)
         return out
 
-    def __contains__(self, p: Permutation) -> bool:
-        residue, _ = self._strip(p, 0)
-        return residue.is_identity()
-
 
 def group_order(gens: list[Permutation], n: int | None = None) -> int:
     """Exact order of the subgroup generated by ``gens``."""

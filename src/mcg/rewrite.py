@@ -9,11 +9,13 @@ The strategy is a deterministic loop:
    their symmetry subgroups faithfully on labels, so an identity automorphism
    is the identity element and the tail may be dropped.
 
-2. *Free reduction and commutation sorting.* Twists about disjoint curves
-   commute; the word is brought to the lexicographically least representative
-   of its trace-equivalence class under a fixed total label order, cancelling
-   inverse pairs that become adjacent. This alone settles most derivation
-   steps.
+2. *Trace reduction and commutation sorting.* Twists about disjoint curves
+   commute, so a word is a trace: cancellation works on the trace, where an
+   inverse pair cancels whenever everything between the two commutes with
+   them, and leaves the unique reduced trace. Its lexicographically least
+   word under a fixed total letter order is read off in one topological
+   pass (Cartier-Foata; Anisimov-Knuth), at any length. This alone settles
+   most derivation steps.
 
 3. *Braid moves.* For curves meeting once, the braid relation
    ``A B A = B A B`` and the transport rule ``A^s B^t A^-s = B^-s A^t B^s``
@@ -37,7 +39,7 @@ from typing import Iterator, Sequence
 from .errors import BudgetExhausted, ModelMismatch, NotAnInvolution, UndefinedSymmetry
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
-from .words import Letter, Shift, Sym, Twist, Word, empty_word, invert
+from .words import Letter, Shift, Sym, Twist, Word, empty_word, invert, invert_letter
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_WINDOW = 40
@@ -210,61 +212,44 @@ def push_symmetries(w: Word) -> Word:
 # commutation-canonical form
 
 
-def _cancel_adjacent(letters: list[Letter], budget: Budget) -> tuple[list[Letter], bool]:
-    out: list[Letter] = []
-    changed = False
-    for g in letters:
-        if (
-            out
-            and not isinstance(g, Sym)
-            and type(out[-1]) is type(g)
-            and out[-1].label == g.label
-            and out[-1].exp + g.exp == 0
-        ):
-            out.pop()
-            changed = True
-            budget.spend()
-        else:
-            out.append(g)
-    return out, changed
-
-
-def _left_greedy(ctx: _Ctx, letters: list[Letter]) -> list[Letter]:
-    """Lexicographically least trace-equivalent word (left-greedy normal form)."""
-    rem = list(letters)
-    out: list[Letter] = []
-    while rem:
-        best_i = 0
-        best_key = None
-        for p, x in enumerate(rem):
-            if all(ctx.commutes(rem[q], x) for q in range(p)):
-                k = ctx.key(x)
-                if best_key is None or k < best_key:
-                    best_key, best_i = k, p
-        out.append(rem.pop(best_i))
-    return out
-
-
-_SORT_LENGTH_CAP = 600  # the greedy sort is cubic; beyond this, cancel only
-
-
 def canonical(model: SurfaceModel, letters: Sequence[Letter], budget: Budget) -> tuple[Letter, ...]:
-    """Free reduction + commutation sorting to a fixpoint.
+    """Lexicographically least word of the reduced trace of ``letters``.
 
-    The greedy sort is idempotent, so the loop exits as soon as one round
-    neither cancels nor reorders anything.
+    Reduce: each letter cancels the nearest inverse it can commute back to
+    (one budget unit per pair), which leaves the unique reduced trace.
+    Sort: the least ready letter goes first, where a letter is ready once
+    every earlier letter it does not commute with is placed.
     """
     ctx = _ctx(model)
-    cur = list(letters)
-    while True:
-        cur, c1 = _cancel_adjacent(cur, budget)
-        if len(cur) > _SORT_LENGTH_CAP:
-            return tuple(cur)
-        nxt = _left_greedy(ctx, cur)
-        moved = nxt != cur
-        cur, c2 = _cancel_adjacent(nxt, budget)
-        if not (c1 or moved or c2):
-            return tuple(cur)
+    red: list[Letter] = []
+    for g in letters:
+        inv = None if isinstance(g, Sym) else invert_letter(g)
+        p = len(red) - 1
+        while p >= 0 and red[p] != inv and ctx.commutes(red[p], g):
+            p -= 1
+        if p >= 0 and red[p] == inv:
+            del red[p]
+            budget.spend()
+        else:
+            red.append(g)
+    blockers = [0] * len(red)
+    after: list[list[int]] = [[] for _ in red]
+    for j, y in enumerate(red):
+        for i in range(j):
+            if not ctx.commutes(red[i], y):
+                after[i].append(j)
+                blockers[j] += 1
+    ready = [(ctx.key(g), p) for p, g in enumerate(red) if not blockers[p]]
+    heapq.heapify(ready)
+    out: list[Letter] = []
+    while ready:
+        _, i = heapq.heappop(ready)
+        out.append(red[i])
+        for j in after[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heapq.heappush(ready, (ctx.key(red[j]), j))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ def test_bad_permutation_point_reports_position(tmp_path, capsys):
         assert "bad.model:2" in capsys.readouterr().err
 
 
+def test_permutation_point_above_n_reports_position(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text("kind sn\nsym tau perm (1 40)\n")
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.model:2" in err and "above n=17" in err
+
+
 def test_missing_model_file_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.model")
     assert main(["selfcheck", "--model-file", missing]) == 2

@@ -11,6 +11,7 @@ from mcg.errors import NotAnInvolution
 from mcg.homology import TruncatedBasis, word_matrix
 from mcg.rewrite import (
     Budget,
+    _ctx,
     canonical,
     check_involution,
     equivalent,
@@ -18,7 +19,8 @@ from mcg.rewrite import (
     push_symmetries,
     reduce_word,
 )
-from mcg.words import Shift, Sym, Twist, Word, conjugate, empty_word, invert, word
+from mcg.sweeps import random_word
+from mcg.words import Shift, Sym, Twist, Word, conjugate, empty_word, invert, invert_letter, word
 
 
 def tw(model, fam, *idx, exp=1):
@@ -211,6 +213,46 @@ def test_without_adjacency_copy_has_its_own_commutation_table(sn17):
     assert canonical(sn17, [b, a], Budget(100)) == (b, a)  # A and B meet once
     cut = sn17.without_adjacency(a.label, b.label)
     assert canonical(cut, [b, a], Budget(100)) == (a, b)
+
+
+# -- canonical form ---------------------------------------------------------------
+
+
+def test_canonical_cancels_through_commutation_beyond_600_letters(sn17):
+    # A[1,1] and A[1,3] are disjoint, so no inverse pair is ever adjacent:
+    # every cancellation needs a commutation first
+    a, b = tw(sn17, "A", 1, 1), tw(sn17, "A", 1, 3)
+    letters = [a, b, invert_letter(a), invert_letter(b)] * 151
+    budget = Budget(10**6)
+    assert canonical(sn17, letters, budget) == ()
+    assert budget.spent == len(letters) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_is_a_normal_form_of_the_reduced_trace(sn16, sn17, jacob, lochness, data):
+    model = data.draw(st.sampled_from((sn16, sn17, jacob, lochness)))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    ctx = _ctx(model)
+    letters = list(random_word(model, rng, data.draw(st.integers(0, 30))).letters)
+    budget = Budget(10**6)
+    out = canonical(model, letters, budget)
+    assert 2 * budget.spent == len(letters) - len(out)
+    for x, y in zip(out, out[1:]):
+        assert not ctx.commutes(x, y) or ctx.key(x) <= ctx.key(y), (x, y)
+
+    swaps = [i for i in range(len(letters) - 1) if ctx.commutes(letters[i], letters[i + 1])]
+    if swaps:
+        i = data.draw(st.sampled_from(swaps))
+        swapped = letters[:i] + [letters[i + 1], letters[i]] + letters[i + 2 :]
+        assert canonical(model, swapped, Budget(10**6)) == out
+
+    pool = [g for g in random_word(model, rng, 12).letters if not isinstance(g, Sym)]
+    if pool:
+        x = data.draw(st.sampled_from(pool))
+        i = data.draw(st.integers(0, len(letters)))
+        padded = letters[:i] + [x, invert_letter(x)] + letters[i:]
+        assert canonical(model, padded, Budget(10**6)) == out
 
 
 # -- check_involution ----------------------------------------------------------
