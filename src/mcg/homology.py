@@ -14,23 +14,31 @@ distinct positions are orthogonal. Curve classes in this basis:
   neighbouring strands.
 
 A right-handed twist about a curve with class c acts as the transvection
-``x -> x + <x, c> c``; the sign convention is pinned by a startup self test
-(braid identity on a symplectic pair). Symmetries act by permuting basis
+``x -> x + <x, c> c`` (Farb-Margalit, *A Primer on Mapping Class Groups*,
+Prop. 6.3); the sign convention is pinned by a startup self test (braid
+identity on a symplectic pair). Symmetries act by permuting basis
 positions; handle shifts translate one or two strands by a genus step and
 carry a validity mask excluding columns whose trajectory leaves the window.
 A verdict is always relative to the common valid subspace: ``Consistent`` is
 a necessary condition, not a proof.
+
+One kernel, ``_push``, applies a word right to left to all start columns
+at once. A transvection moves only the columns that pair with c, so the
+kernel keeps a row index (basis key -> live columns nonzero there) and, at
+each twist, pairs only the columns listed under the mates of c's keys.
+Symmetry and shift letters relabel every live column and rebuild the index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
 from .labels import ChainShift, CurveLabel, ShiftLabel
 from .models import Automorphism, SurfaceModel
-from .words import Letter, Shift, Twist, Word
+from .words import Letter, Shift, Sym, Twist, Word
 
 # basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
 Key = tuple
@@ -48,14 +56,17 @@ class TruncatedBasis:
         if self.window < 2:
             raise OutOfWindow("window must be at least 2")
 
-    def keys(self) -> list[Key]:
+    def keys(self, reach: int | None = None) -> list[Key]:
+        """Keys in basis order; with ``reach``, only those whose genus (sn)
+        or index magnitude (chain models) is at most ``reach``."""
+        top = self.window if reach is None else min(self.window, reach)
         out: list[Key] = []
         if self.model.kind == "sn":
             for e in range(1, self.model.n + 1):
-                for i in range(1, self.window + 1):
+                for i in range(1, top + 1):
                     out.extend((("a", e, i), ("b", e, i)))
         else:
-            for k in range(-self.window, self.window + 1):
+            for k in range(-top, top + 1):
                 out.extend((("a", k), ("b", k)))
         return out
 
@@ -134,57 +145,75 @@ def _shift_key(h: ShiftLabel, exp: int, key: Key) -> Key | None:
     return (key[0], end, genus)
 
 
-class _ColumnTracker:
-    """Applies a word to one basis vector, right to left, tracking validity."""
+def _push(
+    basis: TruncatedBasis, letters: Sequence[Letter], starts: Iterable[Key]
+) -> dict[Key, Vec | UndefinedSymmetry]:
+    """Apply a word, right to left, to the unit columns at ``starts`` at once.
 
-    def __init__(self, basis: TruncatedBasis):
-        self.basis = basis
-        self.model = basis.model
-        self._classes: dict[CurveLabel, Vec] = {}
-        self._auts: dict[tuple[str, int], Automorphism] = {}
-
-    def cls(self, label: CurveLabel) -> Vec:
-        hit = self._classes.get(label)
-        if hit is None:
-            hit = self._classes[label] = self.basis.class_of(label)
-        return hit
-
-    def aut(self, name: str, exp: int) -> Automorphism:
-        hit = self._auts.get((name, exp))
-        if hit is None:
-            hit = self._auts[(name, exp)] = self.model.automorphism_of_word([(name, exp)])
-        return hit
-
-    def apply(self, letters: Sequence[Letter], start: Key) -> Vec | None:
-        """Column of the word matrix at ``start``; None when masked out."""
-        v: Vec = {start: 1}
-        for g in reversed(letters):
-            if isinstance(g, Twist):
-                v = _twist_apply(v, self.cls(g.label), g.exp)
-            elif isinstance(g, Shift):
-                out: Vec = {}
-                ok = True
-                for key, c in v.items():
-                    nk = _shift_key(g.label, g.exp, key)
-                    if nk is None or not self.basis.in_window(nk):
-                        ok = False
-                        break
-                    out[nk] = out.get(nk, 0) + c
-                if not ok:
-                    return None
-                v = out
+    Returns the surviving columns by start key; a masked column is absent.
+    When live columns reach a symmetry without a label action, the word
+    stops there and each of them maps to that error instead.
+    """
+    inside = basis.in_window
+    cols: dict[Key, Vec] = {k: {k: 1} for k in starts}
+    rows: dict[Key, set[Key]] = {k: {k} for k in cols}  # key -> columns nonzero there
+    classes: dict[CurveLabel, tuple[Vec, list[tuple[Key, int]], bool]] = {}
+    for g in reversed(letters):
+        if not cols:
+            break
+        if isinstance(g, Twist):
+            hit = classes.get(g.label)
+            if hit is None:
+                cls = basis.class_of(g.label)
+                # <v, cls> is the sum of weight * v[mate] over the class's keys
+                mates = [
+                    (("b" if k[0] == "a" else "a",) + k[1:], -c if k[0] == "a" else c)
+                    for k, c in cls.items()
+                ]
+                hit = classes[g.label] = (cls, mates, all(inside(k) for k in cls))
+            cls, mates, fits = hit
+            for start in set().union(*(rows.get(m, ()) for m, _ in mates)):
+                v = cols[start]
+                s = g.exp * sum(w * v.get(m, 0) for m, w in mates)
+                if not s:
+                    continue
+                if not fits:  # the image gains a key outside the window
+                    for k in cols.pop(start):
+                        rows[k].discard(start)
+                    continue
+                for k, c in cls.items():
+                    x = v.get(k, 0) + s * c
+                    if x:
+                        v[k] = x
+                        rows.setdefault(k, set()).add(start)
+                    else:
+                        del v[k]
+                        rows[k].discard(start)
+            continue
+        if isinstance(g, Shift):
+            move = partial(_shift_key, g.label, g.exp)
+        else:
+            try:
+                aut = basis.model.automorphism_of_word([(g.name, g.exp)])
+            except UndefinedSymmetry as e:
+                return dict.fromkeys(cols, e)
+            move = partial(_aut_key, aut)
+        moved: dict[Key, Vec] = {}
+        for start, v in cols.items():
+            out: Vec = {}
+            for k, c in v.items():
+                nk = move(k)
+                if nk is None or not inside(nk):
+                    break
+                out[nk] = c
             else:
-                aut = self.aut(g.name, g.exp)
-                out = {}
-                for key, c in v.items():
-                    nk = _aut_key(aut, key)
-                    if not self.basis.in_window(nk):
-                        return None
-                    out[nk] = out.get(nk, 0) + c
-                v = out
-            if any(not self.basis.in_window(k) for k in v):
-                return None
-        return v
+                moved[start] = out
+        cols = moved
+        rows = {}
+        for start, v in cols.items():
+            for k in v:
+                rows.setdefault(k, set()).add(start)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +281,27 @@ def verify_identity_homology(
     """
     if w1.model is not w2.model:
         return HomologyResult("Inconclusive", "model mismatch")
-    model = w1.model
-    basis = TruncatedBasis(model, window)
-    tracker = _ColumnTracker(basis)
+    basis = TruncatedBasis(w1.model, window)
     top, disp = _support_bound((w1, w2))
-    reach = top + disp + 1
-
-    keys = basis.keys()
-    if model.kind == "sn":
-        keys = [k for k in keys if k[2] <= min(window, reach)]
-    else:
-        keys = [k for k in keys if abs(k[1]) <= min(window, reach)]
+    keys = basis.keys(top + disp + 1)
+    out1 = _push(basis, w1.letters, keys)
+    out2 = _push(basis, w2.letters, keys)
 
     valid = 0
-    try:
-        for key in keys:
-            c1 = tracker.apply(w1.letters, key)
-            c2 = tracker.apply(w2.letters, key)
-            if c1 is None or c2 is None:
-                continue
-            valid += 1
-            if c1 != c2:
-                witness = (
-                    f"{basis.key_label(key)} maps to "
-                    f"{_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
-                )
-                return HomologyResult("Refuted", witness, valid, len(keys))
-    except UndefinedSymmetry as e:
-        return HomologyResult("Inconclusive", str(e))
+    for key in keys:
+        c1, c2 = out1.get(key), out2.get(key)
+        for c in (c1, c2):
+            if isinstance(c, UndefinedSymmetry):
+                return HomologyResult("Inconclusive", str(c))
+        if c1 is None or c2 is None:
+            continue
+        valid += 1
+        if c1 != c2:
+            witness = (
+                f"{basis.key_label(key)} maps to "
+                f"{_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
+            )
+            return HomologyResult("Refuted", witness, valid, len(keys))
     if valid == 0:
         return HomologyResult("Inconclusive", "empty valid subspace", 0, len(keys))
     return HomologyResult("Consistent", "", valid, len(keys))
@@ -368,25 +390,13 @@ class IntMatrix:
 
 
 def twist_matrix(basis: TruncatedBasis, c: CurveLabel) -> IntMatrix:
-    cls = basis.class_of(c)
-    if any(not basis.in_window(k) for k in cls):
+    if any(not basis.in_window(k) for k in basis.class_of(c)):
         raise OutOfWindow(f"{c!r} lies outside the window {basis.window}")
-    out = {k: _twist_apply({k: 1}, cls, 1) for k in basis.keys()}
-    return IntMatrix(basis, out, frozenset(basis.keys()))
+    return word_matrix(basis, Word(basis.model, (Twist(c, 1),)))
 
 
 def symmetry_matrix(basis: TruncatedBasis, s: str) -> IntMatrix:
-    aut = basis.model.automorphism_of_word([(s, 1)])
-    cols: dict[Key, Vec] = {}
-    valid: set[Key] = set()
-    for k in basis.keys():
-        nk = _aut_key(aut, k)
-        if basis.in_window(nk):
-            cols[k] = {nk: 1}
-            valid.add(k)
-        else:
-            cols[k] = {}
-    return IntMatrix(basis, cols, frozenset(valid))
+    return word_matrix(basis, Word(basis.model, (Sym(s, 1),)))
 
 
 def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix:
@@ -412,19 +422,14 @@ def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix
 
 
 def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
-    """Product of the factor matrices in application order, masked columns
-    dropped as their trajectories leave the window."""
-    tracker = _ColumnTracker(basis)
-    cols: dict[Key, Vec] = {}
-    valid: set[Key] = set()
-    for k in basis.keys():
-        v = tracker.apply(w.letters, k)
-        if v is None:
-            cols[k] = {}
-        else:
-            cols[k] = v
-            valid.add(k)
-    return IntMatrix(basis, cols, frozenset(valid))
+    """Matrix of a word over the whole truncation, masked columns dropped
+    as their trajectories leave the window."""
+    keys = basis.keys()
+    out = _push(basis, w.letters, keys)
+    for v in out.values():
+        if isinstance(v, UndefinedSymmetry):
+            raise v
+    return IntMatrix(basis, {k: out.get(k, {}) for k in keys}, frozenset(out))
 
 
 def transvection_selftest() -> None:

@@ -124,17 +124,28 @@ class _Ctx:
 
     def __init__(self, model: SurfaceModel):
         self.model = model
-        self._comm: dict[tuple, bool] = {}
+        self._ids: dict[tuple, int] = {}  # commutation class -> its number
+        self._reps: list[Letter] = []  # one letter of each class, by number
+        self._comm: dict[tuple[int, int], bool] = {}
         self._key: dict[Letter, tuple] = {}
 
-    def commutes(self, x: Letter, y: Letter) -> bool:
-        kx = (x.label, x.__class__) if not isinstance(x, Sym) else (x.name, Sym)
-        ky = (y.label, y.__class__) if not isinstance(y, Sym) else (y.name, Sym)
-        key = (kx, ky)
-        hit = self._comm.get(key)
+    def cid(self, g: Letter) -> int:
+        """Number of the commutation class of ``g``: its letter type and
+        label (a symmetry's name), which is all ``commutes`` reads."""
+        k = (g.name, Sym) if isinstance(g, Sym) else (g.label, g.__class__)
+        hit = self._ids.get(k)
         if hit is None:
-            hit = self._comm[key] = self._commutes(x, y)
-            self._comm[(ky, kx)] = hit
+            hit = self._ids[k] = len(self._reps)
+            self._reps.append(g)
+        return hit
+
+    def commutes(self, x: Letter, y: Letter) -> bool:
+        return self.commutes_cid(self.cid(x), self.cid(y))
+
+    def commutes_cid(self, i: int, j: int) -> bool:
+        hit = self._comm.get((i, j))
+        if hit is None:
+            hit = self._comm[(i, j)] = self._comm[(j, i)] = self._commutes(self._reps[i], self._reps[j])
         return hit
 
     def _commutes(self, x: Letter, y: Letter) -> bool:
@@ -222,21 +233,24 @@ def canonical(model: SurfaceModel, letters: Sequence[Letter], budget: Budget) ->
     """
     ctx = _ctx(model)
     red: list[Letter] = []
+    ids: list[int] = []  # commutation class of each letter of red
     for g in letters:
         inv = None if isinstance(g, Sym) else invert_letter(g)
+        gid = ctx.cid(g)
         p = len(red) - 1
-        while p >= 0 and red[p] != inv and ctx.commutes(red[p], g):
+        while p >= 0 and red[p] != inv and ctx.commutes_cid(ids[p], gid):
             p -= 1
         if p >= 0 and red[p] == inv:
-            del red[p]
+            del red[p], ids[p]
             budget.spend()
         else:
             red.append(g)
+            ids.append(gid)
     blockers = [0] * len(red)
     after: list[list[int]] = [[] for _ in red]
-    for j, y in enumerate(red):
+    for j, y in enumerate(ids):
         for i in range(j):
-            if not ctx.commutes(red[i], y):
+            if not ctx.commutes_cid(ids[i], y):
                 after[i].append(j)
                 blockers[j] += 1
     ready = [(ctx.key(g), p) for p, g in enumerate(red) if not blockers[p]]

@@ -1,11 +1,21 @@
+import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcg.errors import OutOfWindow
+from mcg.errors import OutOfWindow, UndefinedSymmetry
 from mcg.homology import (
+    HomologyResult,
     IntMatrix,
     TruncatedBasis,
+    _aut_key,
+    _fmt_vec,
+    _shift_key,
+    _support_bound,
+    _twist_apply,
     pairing,
     shift_matrix,
     symmetry_matrix,
@@ -15,7 +25,8 @@ from mcg.homology import (
     word_matrix,
 )
 from mcg.labels import ChainShift
-from mcg.words import Shift, Sym, Twist, empty_word, invert, word
+from mcg.sweeps import random_word
+from mcg.words import Shift, Sym, Twist, Word, empty_word, invert, word
 
 
 def tw(model, fam, *idx, exp=1):
@@ -187,9 +198,86 @@ def test_conjugated_twist_is_transvection_about_image_class(sn17):
     got = word_matrix(basis, w)
     image_class = {("a", 1, 1): 1, ("b", 1, 1): 1}  # T_b(a) = a + <a,b> b
     expected_cols = {}
-    from mcg.homology import _twist_apply
-
     for key in basis.keys():
         expected_cols[key] = _twist_apply({key: 1}, image_class, 1)
     for key in basis.keys():
         assert got.column(key) == expected_cols[key], key
+
+
+def _reference_column(basis, letters, start):
+    """One column pushed through a word on its own; None once it is masked."""
+    v = {start: 1}
+    for g in reversed(letters):
+        if isinstance(g, Twist):
+            v = _twist_apply(v, basis.class_of(g.label), g.exp)
+        elif isinstance(g, Shift):
+            v = {_shift_key(g.label, g.exp, k): c for k, c in v.items()}
+        else:
+            aut = basis.model.automorphism_of_word([(g.name, g.exp)])
+            v = {_aut_key(aut, k): c for k, c in v.items()}
+        if any(k is None or not basis.in_window(k) for k in v):
+            return None
+    return v
+
+
+def _reference_verify(w1, w2, window):
+    basis = TruncatedBasis(w1.model, window)
+    top, disp = _support_bound((w1, w2))
+    depth = (lambda k: k[2]) if w1.model.kind == "sn" else (lambda k: abs(k[1]))
+    keys = [k for k in basis.keys() if depth(k) <= top + disp + 1]
+    valid = 0
+    try:
+        for key in keys:
+            c1 = _reference_column(basis, w1.letters, key)
+            c2 = _reference_column(basis, w2.letters, key)
+            if c1 is None or c2 is None:
+                continue
+            valid += 1
+            if c1 != c2:
+                witness = f"{basis.key_label(key)} maps to {_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
+                return HomologyResult("Refuted", witness, valid, len(keys))
+    except UndefinedSymmetry as e:
+        return HomologyResult("Inconclusive", str(e))
+    if not valid:
+        return HomologyResult("Inconclusive", "empty valid subspace", 0, len(keys))
+    return HomologyResult("Consistent", "", valid, len(keys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batched_kernel_matches_per_column_reference(sn16, sn17, jacob, lochness, data):
+    model = data.draw(st.sampled_from((sn16, sn17, jacob, lochness)))
+    window = data.draw(st.integers(3, 8))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w1 = random_word(model, rng, data.draw(st.integers(0, 12)))
+    other = data.draw(st.sampled_from(("random", "same", "drop")))
+    if other == "random":
+        w2 = random_word(model, rng, data.draw(st.integers(0, 6)))
+    elif other == "drop" and w1.letters:
+        i = data.draw(st.integers(0, len(w1.letters) - 1))
+        w2 = Word(model, w1.letters[:i] + w1.letters[i + 1 :])
+    else:
+        w2 = w1
+
+    basis = TruncatedBasis(model, window)
+    try:
+        cols = {k: _reference_column(basis, w1.letters, k) for k in basis.keys()}
+    except UndefinedSymmetry as e:
+        with pytest.raises(UndefinedSymmetry, match=re.escape(str(e))):
+            word_matrix(basis, w1)
+    else:
+        m = word_matrix(basis, w1)
+        assert m.cols == {k: v or {} for k, v in cols.items()}
+        assert m.valid == {k for k, v in cols.items() if v is not None}
+    assert str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
+
+
+def test_symmetry_without_label_action_is_inconclusive(sn17):
+    with pytest.raises(UndefinedSymmetry) as exc:
+        sn17.automorphism("tau")
+    w = W(sn17, tw(sn17, "A", 1, 1), Sym("tau", 1), tw(sn17, "B", 1, 2))
+    res = verify_identity_homology(w, empty_word(sn17), 6)
+    assert res.status == "Inconclusive"
+    assert str(res) == f"Inconclusive(0/0 columns) [{exc.value}]"
+    with pytest.raises(UndefinedSymmetry, match=re.escape(str(exc.value))):
+        word_matrix(TruncatedBasis(sn17, 3), w)
