@@ -7,7 +7,7 @@ normalization (free reduction, commutation, braid moves), cross-checked by an
 exact integer homology oracle and a permutation-group oracle on the ends.
 """
 
-from .labels import ChainShift, CurveLabel, ShiftLabel
+from .labels import CurveLabel, ShiftLabel
 from .modelfile import load_model, parse_model_file, parse_model_text
 from .models import (
     SurfaceModel,
@@ -18,7 +18,6 @@ from .models import (
 )
 
 __all__ = [
-    "ChainShift",
     "CurveLabel",
     "ShiftLabel",
     "SurfaceModel",

@@ -8,7 +8,6 @@ rewrite budget can be overridden with the MCG_BUDGET environment variable.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from importlib import resources
@@ -18,10 +17,10 @@ from .errors import McgError
 from .homology import TruncatedBasis, transvection_selftest, word_matrix
 from .modelfile import load_model, parse_model_file
 from .permgroup import Permutation, certify_full_symmetric, group_order, project
-from .replay import ReplayReport, replay
+from .replay import replay
 from .report import render_json, render_text, write_report_dir
 from .rewrite import DEFAULT_BUDGET, DEFAULT_WINDOW, normalize
-from .script import CONVENTIONS_TEXT, EvalContext, eval_word, parse
+from .script import CONVENTIONS_TEXT, EvalContext, ProofScript, eval_word, parse
 from .shiftmap import check_shift_properties
 from .sweeps import homology_property_sweep, pairing_preservation_sweep
 
@@ -48,37 +47,25 @@ def _load_script_text(name: str) -> tuple[str, str]:
     return path.read_text(encoding="utf-8"), str(path)
 
 
-def _run_one(args: tuple[str, int | None, int, int, str | None]) -> ReplayReport:
-    name, n, budget, window, model_file = args
-    text, path = _load_script_text(name)
-    script = parse(text, path)
-    model = None
-    if model_file:
-        model = parse_model_file(model_file, n=n if n is not None else script.default_n())
-        if model.kind != script.kind:
-            raise McgError(f"model file kind {model.kind!r} does not match the script ({script.kind})")
-    return replay(script, n=n, budget=budget, window=window, model=model)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = args.scripts or list(BUILTIN_SCRIPTS)
-    jobs: list[tuple[str, int | None, int, int, str | None]] = []
+    runs: list[tuple[ProofScript, int | None]] = []
     try:
-        for name in names:
-            text, path = _load_script_text(name)
-            script = parse(text, path)
+        for name in args.scripts or BUILTIN_SCRIPTS:
+            script = parse(*_load_script_text(name))
             if args.n is None and script.kind == "sn" and script.param:
                 # a script may declare several default n values (one per parity
                 # quirk it wants covered); run all of them
-                for n in script.param.defaults:
-                    jobs.append((name, n, args.budget, args.window, args.model_file))
+                runs.extend((script, n) for n in script.param.defaults)
             else:
-                jobs.append((name, args.n, args.budget, args.window, args.model_file))
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_run_one, jobs))
-        else:
-            reports = [_run_one(j) for j in jobs]
+                runs.append((script, args.n))
+        reports = []
+        for script, n in runs:
+            model = None
+            if args.model_file:
+                model = parse_model_file(args.model_file, n=n if n is not None else script.default_n())
+                if model.kind != script.kind:
+                    raise McgError(f"model file kind {model.kind!r} does not match the script ({script.kind})")
+            reports.append(replay(script, n=n, budget=args.budget, window=args.window, model=model))
     except (McgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -215,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
     v.add_argument("--report-dir", default=None, help="write report.json, statements.csv and figures here")
-    v.add_argument("--jobs", type=int, default=1, help="replay scripts in parallel worker processes")
     v.add_argument("--model-file", default=None, help="substitute this model file for the builtin model")
     v.add_argument("--quiet", action="store_true", help="print only per-script results")
     v.set_defaults(func=cmd_verify)

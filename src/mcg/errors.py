@@ -49,9 +49,6 @@ class ScriptError(McgError):
         self.line = line
         self.column = column
 
-    def __reduce__(self):  # rebuilt from its fields when sent back by a --jobs worker
-        return (type(self), (self.message, self.line, self.column))
-
 
 class ParseError(ScriptError):
     pass
@@ -73,6 +70,3 @@ class ModelFileError(McgError):
         self.message = message
         self.path = path
         self.line = line
-
-    def __reduce__(self):  # rebuilt from its fields when sent back by a --jobs worker
-        return (type(self), (self.message, self.path, self.line))

@@ -36,9 +36,9 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
-from .labels import ChainShift, CurveLabel, ShiftLabel
+from .labels import CurveLabel, ShiftLabel
 from .models import Automorphism, SurfaceModel
-from .words import Letter, Shift, Sym, Twist, Word
+from .words import Letter, Shift, Twist, Word
 
 # basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
 Key = tuple
@@ -320,7 +320,7 @@ def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# explicit matrices (small windows; debugging and property checks)
+# explicit matrices: word_matrix and its grid (small windows, for display)
 
 
 @dataclass
@@ -332,54 +332,6 @@ class IntMatrix:
     cols: dict[Key, Vec]
     valid: frozenset[Key]
 
-    @staticmethod
-    def identity(basis: TruncatedBasis) -> "IntMatrix":
-        keys = basis.keys()
-        return IntMatrix(basis, {k: {k: 1} for k in keys}, frozenset(keys))
-
-    def column(self, key: Key) -> Vec:
-        return self.cols[key]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """self applied after other (matrix product self . other)."""
-        cols: dict[Key, Vec] = {}
-        valid: set[Key] = set()
-        for key in other.valid:
-            vec = other.cols[key]
-            out: Vec = {}
-            ok = True
-            for k2, c2 in vec.items():
-                if k2 not in self.valid:
-                    ok = False
-                    break
-                for k3, c3 in self.cols[k2].items():
-                    out[k3] = out.get(k3, 0) + c2 * c3
-            if not ok:
-                continue
-            cols[key] = {k: c for k, c in out.items() if c}
-            valid.add(key)
-        for key in self.basis.keys():
-            cols.setdefault(key, {})
-        return IntMatrix(self.basis, cols, frozenset(valid))
-
-    def equal_on_valid(self, other: "IntMatrix") -> tuple[bool, Key | None]:
-        for key in self.valid & other.valid:
-            if self.cols[key] != other.cols[key]:
-                return False, key
-        return True, None
-
-    def preserves_pairing(self) -> bool:
-        keys = [k for k in self.basis.keys() if k in self.valid]
-        base = {k: {k: 1} for k in keys}
-        for i, x in enumerate(keys):
-            for y in keys[i:]:
-                if pairing(self.cols[x], self.cols[y]) != pairing(base[x], base[y]):
-                    return False
-        return True
-
-    def is_identity_on_valid(self) -> bool:
-        return all(self.cols[k] == {k: 1} for k in self.valid)
-
     def grid(self) -> str:
         """Plain-text integer grid (row-major over the basis order)."""
         keys = self.basis.keys()
@@ -387,38 +339,6 @@ class IntMatrix:
         for row in keys:
             lines.append(" ".join(str(self.cols[col].get(row, 0)) for col in keys))
         return "\n".join(lines)
-
-
-def twist_matrix(basis: TruncatedBasis, c: CurveLabel) -> IntMatrix:
-    if any(not basis.in_window(k) for k in basis.class_of(c)):
-        raise OutOfWindow(f"{c!r} lies outside the window {basis.window}")
-    return word_matrix(basis, Word(basis.model, (Twist(c, 1),)))
-
-
-def symmetry_matrix(basis: TruncatedBasis, s: str) -> IntMatrix:
-    return word_matrix(basis, Word(basis.model, (Sym(s, 1),)))
-
-
-def shift_matrix(basis: TruncatedBasis, h: ShiftLabel | ChainShift) -> IntMatrix:
-    """Matrix of a handle shift with its edge mask."""
-    if basis.window < 3:
-        raise OutOfWindow("shift matrices need window >= 3")
-    cols: dict[Key, Vec] = {}
-    valid: set[Key] = set()
-    for k in basis.keys():
-        if isinstance(h, ChainShift):
-            nk = (k[0], k[1] + h.step)
-            nk2 = nk if basis.in_window(nk) else None
-        else:
-            nk2 = _shift_key(h, 1, k)
-            if nk2 is not None and not basis.in_window(nk2):
-                nk2 = None
-        if nk2 is None:
-            cols[k] = {}
-        else:
-            cols[k] = {nk2: 1}
-            valid.add(k)
-    return IntMatrix(basis, cols, frozenset(valid))
 
 
 def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:

@@ -78,17 +78,3 @@ class ShiftLabel:
     @property
     def ends(self) -> frozenset[int]:
         return frozenset((self.from_end, self.to_end))
-
-
-@dataclass(frozen=True, order=True)
-class ChainShift:
-    """The distinguished handle shift of a one- or two-ended model.
-
-    Only the homology layer manipulates this directly; in words the shift is
-    the product of the two primitive chain reflections.
-    """
-
-    step: int = 1
-
-    def __repr__(self) -> str:
-        return f"H^{self.step}" if self.step != 1 else "H"

@@ -51,11 +51,12 @@ class IndexPattern:
     kind: str  # "var" | "const"
     value: int
 
-    def solve(self, actual: int) -> int | None:
-        """Return the variable binding that makes this pattern equal actual."""
+    def solve(self, actual: int) -> tuple[bool, int | None]:
+        """(whether this pattern can equal ``actual``, the variable binding
+        that makes it so; a constant binds nothing)."""
         if self.kind == "const":
-            return None if actual != self.value else Ellipsis  # type: ignore[return-value]
-        return actual - self.value
+            return actual == self.value, None
+        return True, actual - self.value
 
     def apply(self, binding: int | None) -> int:
         if self.kind == "const":
@@ -84,16 +85,14 @@ class AdjacencyRule:
         pat, other = self.left, self.right
         if c.family != pat.family:
             return None
-        gi = pat.genus.solve(c.index)
-        if gi is None:
+        matched, gbind = pat.genus.solve(c.index)
+        if not matched:
             return None
-        gbind = None if gi is Ellipsis else gi
         ebind = None
         if pat.end is not None:
-            ej = pat.end.solve(c.end)  # type: ignore[arg-type]
-            if ej is None:
+            matched, ebind = pat.end.solve(c.end)  # type: ignore[arg-type]
+            if not matched:
                 return None
-            ebind = None if ej is Ellipsis else ej
         genus = other.genus.apply(gbind)
         if pat.end is None:
             out = CurveLabel(other.family, genus)
@@ -245,8 +244,8 @@ class SurfaceModel:
     def __post_init__(self):
         if self.kind == "sn" and self.n < 3:
             raise McgError(f"sn model needs n >= 3, got {self.n}")
-        # neighbour memo: idempotent values, so concurrent readers may race
-        # benignly; the model is otherwise immutable
+        # neighbour memo: idempotent values, filled on first use; the model
+        # is otherwise immutable
         object.__setattr__(self, "_ncache", {})
 
     # -- label plumbing ----------------------------------------------------

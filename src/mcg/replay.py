@@ -7,13 +7,14 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import McgError, NotAnInvolution, WindowTooSmall
-from .homology import _support_bound, verify_identity_homology
+from .homology import HomologyResult, _support_bound, verify_identity_homology
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
 from .rewrite import (
     DEFAULT_BUDGET,
     DEFAULT_WINDOW,
+    Verdict,
     check_involution,
     equivalent,
     reduce_word,
@@ -137,13 +138,7 @@ def replay(
                 _check_window(left, window), _check_window(right, window)
                 v = equivalent(left, right, budget, window)
                 hom = verify_identity_homology(left, right, window)
-                res.verdict = v.kind
-                res.oracle = str(hom)
-                res.budget_used = getattr(v, "budget_used", 0)
-                res.witness = getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ()))
-                res.ok = v.kind == "ProvedEqual" and hom.status != "Refuted"
-                if v.kind == "ProvedEqual" and hom.status == "Refuted":
-                    res.witness = f"ORACLE CONFLICT: {hom.witness}"
+                _judge(res, v, hom, getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ())))
                 if res.ok:
                     # both sides are proved equal; the right side is the
                     # compact display form, keep that one
@@ -162,11 +157,7 @@ def replay(
                 else:
                     v = equivalent(w * w, empty_word(model), budget, window)
                     hom = verify_identity_homology(w * w, empty_word(model), window)
-                res.verdict = v.kind
-                res.oracle = str(hom)
-                res.budget_used = getattr(v, "budget_used", 0)
-                res.witness = getattr(v, "witness", "")
-                res.ok = v.kind == "ProvedEqual" and hom.status != "Refuted"
+                _judge(res, v, hom, getattr(v, "witness", ""))
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
             elif isinstance(stmt, SAssertProjection):
@@ -202,6 +193,18 @@ def replay(
         report.statements.append(res)
     report.wall_s = time.perf_counter() - t_start
     return report
+
+
+def _judge(res: StatementResult, v: Verdict, hom: HomologyResult, witness: str) -> None:
+    """Verdict an identity: proved by the engine and not refuted by homology.
+    A proof that homology refutes is an oracle conflict, named in the witness."""
+    res.verdict = v.kind
+    res.oracle = str(hom)
+    res.budget_used = getattr(v, "budget_used", 0)
+    res.ok = v.kind == "ProvedEqual" and hom.status != "Refuted"
+    if v.kind == "ProvedEqual" and hom.status == "Refuted":
+        witness = f"ORACLE CONFLICT: {hom.witness}"
+    res.witness = witness
 
 
 def _check_window(w: Word, window: int) -> None:

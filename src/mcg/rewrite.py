@@ -209,16 +209,6 @@ def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism, list[Letter]]
     return core, aut, tail
 
 
-def push_symmetries(w: Word) -> Word:
-    """All symmetry letters moved to the right end; equals ``w`` in the group.
-    A tail whose composite label action is the identity is dropped (the
-    models act faithfully through their declared label actions)."""
-    core, aut, tail = split_symmetries(w)
-    if aut.is_identity():
-        tail = []
-    return Word(w.model, tuple(core) + tuple(tail))
-
-
 # ---------------------------------------------------------------------------
 # commutation-canonical form
 

@@ -5,6 +5,8 @@ import struct
 import zlib
 from pathlib import Path
 
+import pytest
+
 from mcg.cli import main
 from mcg.report import _OTHER_COLOR, _VERDICT_COLORS
 
@@ -71,7 +73,7 @@ def test_missing_model_file_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.model")
     assert main(["selfcheck", "--model-file", missing]) == 2
     assert missing in capsys.readouterr().err
-    assert main(["verify", "thmC", "--jobs", "2", "--model-file", missing]) == 2
+    assert main(["verify", "thmC", "--model-file", missing]) == 2
     assert missing in capsys.readouterr().err
 
 
@@ -204,5 +206,7 @@ def test_report_dir_on_a_file_exit_two(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_parallel_jobs(tmp_path):
-    assert main(["verify", "thmC", "thmD", "--jobs", "2", "--out", str(tmp_path / "r.txt")]) == 0
+def test_jobs_option_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", "2"])
+    assert exc.value.code == 2

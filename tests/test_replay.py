@@ -1,7 +1,9 @@
 import pytest
 from importlib import resources
 
+import mcg.replay
 from mcg.errors import McgError, WindowTooSmall
+from mcg.homology import HomologyResult
 from mcg.replay import replay
 from mcg.script import CONVENTIONS_ID, parse
 
@@ -48,6 +50,21 @@ def test_perturbed_formula_fails_with_homology_witness():
     bad_stmt = next(s for s in failing if "B[7]" in s.statement)
     assert bad_stmt.verdict in ("ProvedDistinct", "Unknown")
     assert "Refuted" in bad_stmt.oracle
+
+
+def test_refuted_involution_is_an_oracle_conflict(monkeypatch):
+    # an involution the engine proves but homology refutes must fail and
+    # name the conflict, as ASSERT_EQ does
+    def involution(rep):
+        return next(s for s in rep.statements if s.kind == "AssertInvolution")
+
+    proved = involution(replay(load("thmC")))
+    assert (proved.verdict, proved.ok, proved.witness) == ("ProvedEqual", True, "")
+    forged = HomologyResult("Refuted", "forged witness", 1, 1)
+    monkeypatch.setattr(mcg.replay, "verify_identity_homology", lambda *args: forged)
+    conflict = involution(replay(load("thmC")))
+    assert (conflict.verdict, conflict.ok) == ("ProvedEqual", False)
+    assert conflict.witness == "ORACLE CONFLICT: forged witness"
 
 
 def test_execution_continues_past_failures():
