@@ -106,13 +106,8 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     except AssertionError as e:
         run("transvection sign convention self-test", False, str(e))
 
-    models = []
     if args.model_file:
-        try:
-            models.append(parse_model_file(args.model_file, n=args.n))
-        except McgError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        models = [parse_model_file(args.model_file, n=args.n)]
     else:
         models = [load_model("sn", 16), load_model("sn", 17), load_model("jacob"), load_model("lochness")]
 
@@ -150,28 +145,18 @@ def cmd_shiftmap(args: argparse.Namespace) -> int:
 
 def _word_from_text(args: argparse.Namespace):
     model = load_model(args.model, args.n if args.model == "sn" else None)
-    script_text = f"MODEL {args.model}\nLET w = {args.word}\n"
-    sc = parse(script_text, "<cli>")
-    ctx = EvalContext(model, args.n or model.n)
-    return model, eval_word(sc.statements[0].expr, ctx)  # type: ignore[union-attr]
+    sc = parse(f"MODEL {args.model}\nLET w = {args.word}\n", "<cli>")
+    return model, eval_word(sc.statements[0].expr, EvalContext(model, model.n))  # type: ignore[union-attr]
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    try:
-        model, w = _word_from_text(args)
-    except McgError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    model, w = _word_from_text(args)
     print(project(w).cycle_notation())
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    try:
-        model, w = _word_from_text(args)
-    except McgError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    model, w = _word_from_text(args)
     res = normalize(w, args.budget)
     print(res.word if len(res.word) else "ID")
     if args.trace:
@@ -213,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_selfcheck)
 
     m = sub.add_parser("shiftmap", help="check the strip model of the handle shift exactly")
-    m.add_argument("--check", action="store_true", help="run the checks (default action)")
     m.add_argument("--samples", type=int, default=24, help="rational rows sampled per check")
     m.set_defaults(func=cmd_shiftmap)
 

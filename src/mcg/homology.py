@@ -101,15 +101,18 @@ class TruncatedBasis:
         return {("a", c.index): 1, ("a", c.index + 1): -1}
 
 
+def _mate(key: Key) -> Key:
+    """The key pairing with ``key``: a_x <-> b_x at the same position."""
+    return ("b" if key[0] == "a" else "a",) + key[1:]
+
+
 def pairing(u: Vec, v: Vec) -> int:
     """The skew form: <a_x, b_x> = 1 position-wise."""
     total = 0
     for key, cu in u.items():
-        kind = key[0]
-        mate = ("b",) + key[1:] if kind == "a" else ("a",) + key[1:]
-        cv = v.get(mate)
+        cv = v.get(_mate(key))
         if cv:
-            total += cu * cv if kind == "a" else -cu * cv
+            total += cu * cv if key[0] == "a" else -cu * cv
     return total
 
 
@@ -166,10 +169,7 @@ def _push(
             if hit is None:
                 cls = basis.class_of(g.label)
                 # <v, cls> is the sum of weight * v[mate] over the class's keys
-                mates = [
-                    (("b" if k[0] == "a" else "a",) + k[1:], -c if k[0] == "a" else c)
-                    for k, c in cls.items()
-                ]
+                mates = [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
                 hit = classes[g.label] = (cls, mates, all(inside(k) for k in cls))
             cls, mates, fits = hit
             for start in set().union(*(rows.get(m, ()) for m, _ in mates)):

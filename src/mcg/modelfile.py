@@ -159,6 +159,10 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
                 raise ModelFileError(f"adj wants two label patterns, got {rest!r}", path, lineno)
             left = _label_pattern(parts[0], kind, where)
             right = _label_pattern(parts[1], kind, where)
+            for index, a, b in (("genus", left.genus, right.genus), ("end", left.end, right.end)):
+                if a is not None and a.kind != b.kind:  # type: ignore[union-attr]
+                    msg = f"{rest!r}: the {index} index must be a variable on both sides or a constant on both"
+                    raise ModelFileError(msg, *where)
             rules.append(AdjacencyRule(left, right, text=line))
         elif head == "sym":
             if kind is None:

@@ -409,24 +409,20 @@ class SurfaceModel:
     def validate(self, window: int) -> ValidationReport:
         """Exhaustively police the model data inside a genus window.
 
-        Checks the intersection table (symmetry, values, zero self
-        intersection), the equivariance of every label-acting symmetry, the
-        declared orders (R to the n-th power, squares of the half-turns), and
-        the sign bookkeeping of shift conjugation.
+        Checks that the intersection table is symmetric (each neighbour of
+        every label in the window has that label as a neighbour; values in
+        {0, 1} and zero self intersection hold by construction), the
+        equivariance of every label-acting symmetry, the declared orders (R
+        to the n-th power, squares of the half-turns), and the sign
+        bookkeeping of shift conjugation.
         """
         issues: list[ValidationIssue] = []
         labels = self.labels_in_window(window)
-        sample = labels[:: max(1, len(labels) // 200)]
 
-        for c1 in sample:
-            for c2 in sample:
-                a, b = self.intersection(c1, c2), self.intersection(c2, c1)
-                if a != b:
-                    issues.append(ValidationIssue("symmetry", f"i({c1},{c2})={a} but i({c2},{c1})={b}"))
-                if a not in (0, 1):
-                    issues.append(ValidationIssue("range", f"i({c1},{c2})={a}"))
-            if self.intersection(c1, c1) != 0:
-                issues.append(ValidationIssue("self", f"i({c1},{c1}) != 0"))
+        for c in labels:
+            for x in self.neighbors(c):
+                if c not in self.neighbors(x):
+                    issues.append(ValidationIssue("symmetry", f"i({c},{x})=1 but i({x},{c})=0"))
 
         affine = {nm: sp for nm, sp in self.symmetries.items() if sp.kind == "affine"}
         for nm in affine:
@@ -436,8 +432,6 @@ class SurfaceModel:
                 img = aut.act_curve(c)
                 want = {aut.act_curve(x) for x in self.neighbors(c)}
                 got = set(self.neighbors(img))
-                # ignore neighbours whose counterpart lies outside any window:
-                # actions are total, so the sets must agree exactly
                 if want != got:
                     diff = (want ^ got) or {img}
                     issues.append(

@@ -71,6 +71,7 @@ class ReplayReport:
     window: int
     statements: list[StatementResult] = field(default_factory=list)
     wall_s: float = 0.0
+    env: dict[str, Word] = field(default_factory=dict)  # the LET bindings, reduced as replay made them
 
     @property
     def passed(self) -> bool:
@@ -111,11 +112,11 @@ def replay(
     budget = budget if budget is not None else (script.budget or DEFAULT_BUDGET)
     if model is None:
         model = load_model(script.kind, n if script.kind == "sn" else None)
+    if n != model.n:
+        raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
     ctx = EvalContext(model, n)
     proved: list[tuple[str, Word]] = []
-    report = ReplayReport(
-        script.path, model.describe(), n, CONVENTIONS_TEXT, budget, window
-    )
+    report = ReplayReport(script.path, model.describe(), n, CONVENTIONS_TEXT, budget, window, env=ctx.env)
 
     t_start = time.perf_counter()
     for idx, stmt in enumerate(script.statements):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import TruncatedBasis, _aut_key, _twist_apply, pairing, verify_identity_homology
+from .homology import Key, TruncatedBasis, _aut_key, _mate, _twist_apply, pairing, verify_identity_homology
 from .models import SurfaceModel
 from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
@@ -51,7 +51,15 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
     """Criterion sweep: over every label pair in the window, commutation of
     the twist matrices must match intersection number 0 and the braid
     identity must match intersection number 1, modulo the degenerate
-    same-handle A/A' family, which is reported and characterized exactly."""
+    same-handle A/A' family, which is reported and characterized exactly.
+
+    A class pairs nonzero only with classes holding the mate of one of its
+    keys, and coincides up to sign only with classes holding its keys. So
+    the pairs compared are, for each label, the later labels whose class
+    holds one of its keys or their mates, plus its declared neighbours in
+    the window; every other pair passes by construction. ``checked``
+    counts the pairs compared plus the matrix checks.
+    """
     basis = TruncatedBasis(model, window + 2)
     labels = model.labels_in_window(window)
     cls = {c: basis.class_of(c) for c in labels}
@@ -59,9 +67,21 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
     degenerate = 0
     checked = 0
 
+    position = {c: i for i, c in enumerate(labels)}
+    holders: dict[Key, list[int]] = {}  # basis key -> positions of the labels whose class holds it
+    for i, c in enumerate(labels):
+        for key in cls[c]:
+            holders.setdefault(key, []).append(i)
+
     for i, c1 in enumerate(labels):
         v1 = cls[c1]
-        for c2 in labels[i + 1 :]:
+        # any other c2 has pairing 0, is disjoint from c1 and holds a
+        # different class, so the comparison below could only count it
+        near = {position[x] for x in model.neighbors(c1) if x in position}
+        for key in v1:
+            near.update(holders[key], holders.get(_mate(key), ()))
+        for j in sorted(j for j in near if j > i):
+            c2 = labels[j]
             v2 = cls[c2]
             inter = model.intersection(c1, c2)
             p = abs(pairing(v1, v2))
@@ -145,12 +165,7 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
 
     for c in model.labels_in_window(window):
         cls = basis.class_of(c)
-        mates = set()
-        for key in cls:
-            kind, rest = key[0], key[1:]
-            mates.add(key)
-            mates.add((("b" if kind == "a" else "a"),) + rest)
-        mates = sorted(mates)
+        mates = sorted({k for key in cls for k in (key, _mate(key))})
         for x in mates:
             for y in mates:
                 checked += 1

@@ -15,7 +15,7 @@ from mcg import load_model, validate_model
 from mcg.homology import verify_identity_homology
 from mcg.permgroup import Permutation, certify_full_symmetric
 from mcg.replay import replay
-from mcg.script import CONVENTIONS_ID, EvalContext, SAssertEq, SLet, eval_word, parse
+from mcg.script import CONVENTIONS_ID, EvalContext, SAssertEq, eval_word, parse
 from mcg.shiftmap import check_shift_properties, handle_shift_point, strip_point
 from mcg.sweeps import (
     cross_oracle_random_pairs,
@@ -110,15 +110,17 @@ def test_criterion_3_cross_oracle_soundness(replays):
         total_proved += proved
     assert total_proved > 100  # the random pairs do exercise ProvedEqual
 
+    # the asserted words as replay sees them: LET names bound to the
+    # reduced words replay made
     script = _script("thmA")
     model = load_model("sn", 17)
-    ctx = EvalContext(model, 17)
-    pairs = []
-    for stmt in script.statements:
-        if isinstance(stmt, SLet):
-            ctx.env[stmt.name] = eval_word(stmt.expr, ctx)
-        elif isinstance(stmt, SAssertEq):
-            pairs.append((eval_word(stmt.left, ctx), eval_word(stmt.right, ctx)))
+    rep = replay(script, n=17, model=model)
+    ctx = EvalContext(model, 17, dict(rep.env))
+    pairs = [
+        (eval_word(stmt.left, ctx), eval_word(stmt.right, ctx))
+        for stmt in script.statements
+        if isinstance(stmt, SAssertEq)
+    ]
     refuted = 0
     seed = 0
     while refuted < 10:

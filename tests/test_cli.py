@@ -89,7 +89,7 @@ def test_selfcheck_window_one_exit_two(capsys):
 
 
 def test_shiftmap_check(capsys):
-    assert main(["shiftmap", "--check"]) == 0
+    assert main(["shiftmap"]) == 0
     assert "all passed" in capsys.readouterr().out
 
 
@@ -108,6 +108,17 @@ def test_normalize_with_trace(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "B[1,1]"
     assert "trace:" in out
+
+
+def test_normalize_chain_model_uses_its_n(capsys):
+    assert main(["normalize", "A[n]", "--model", "jacob"]) == 0
+    assert capsys.readouterr().out.strip() == "A[2]"
+
+
+def test_verify_chain_script_rejects_other_n(capsys):
+    assert main(["verify", "thmC", "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "n=2" in err and "Traceback" not in err
 
 
 def test_normalize_matrix_grid(capsys):

@@ -87,6 +87,6 @@ def test_mutated_script_fails_only_with_mcg_error(case):
 def test_mutated_model_file_fails_only_with_mcg_error(case, n):
     name, text = case
     try:
-        parse_model_text(text, n=n, path=name)
+        parse_model_text(text, n=n, path=name).validate(2)
     except McgError:
         pass

@@ -5,7 +5,8 @@ import pytest
 from mcg import apply_symmetry, apply_symmetry_shift, intersection_number, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
 from mcg.labels import CurveLabel
-from mcg.modelfile import parse_model_text
+from mcg.modelfile import builtin_model_text, parse_model_text
+from mcg.sweeps import homology_property_sweep
 
 
 def test_loch_ness_adjacency_from_derivations(lochness):
@@ -139,6 +140,40 @@ def test_model_file_errors():
         parse_model_text("adj A[i,j] B[i,j]\n", n=5)  # adj before kind
     with pytest.raises(ModelFileError):
         parse_model_text("kind sn\nsym R end j -> 2*j\n", n=5)  # not invertible affine
+
+
+def test_unbalanced_adjacency_rule_reports_position():
+    # a variable on one side only would leave the other side's index unbound
+    for rule in ("adj A[i,j] B[3,j]", "adj C[0,j] B[1,4]"):
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text(f"kind sn\n{rule}\n", n=5, path="bad.model")
+        assert err.value.line == 2 and "both sides" in str(err.value)
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text("kind jacob\nadj A[k] B[3]\n", path="bad.model")
+    assert err.value.line == 2 and "genus" in str(err.value)
+
+
+def test_homology_sweep_flags_deleted_adjacency(sn17):
+    broken = sn17.without_adjacency(sn17.curve("A", 2, 5), sn17.curve("B", 2, 5))
+    assert homology_property_sweep(broken, 4).issues == ("i(A[2,5],B[2,5])=0 but |<.,.>|=1",)
+
+
+# an added rule on S(5) and, in label order, the window-3 pairs it declares
+ZERO_PAIRING_CROSSINGS = {
+    "adj A[i,j] C[i,j]": [(f"A[{i},{j}]", f"C[{i},{j}]") for j in range(1, 6) for i in range(1, 4)],
+    "adj A[i,j] B[i+1,j]": [(f"A[{i},{j}]", f"B[{i + 1},{j}]") for j in range(1, 6) for i in range(1, 3)],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ZERO_PAIRING_CROSSINGS))
+def test_homology_sweep_flags_declared_crossing_with_zero_pairing(rule):
+    # each added pair has pairing 0; A[i,j] and B[i+1,j] share no basis key
+    # and no mate either, so only the declared neighbours bring them together
+    model = parse_model_text(builtin_model_text("sn") + rule + "\n", n=5)
+    pairs = ZERO_PAIRING_CROSSINGS[rule]
+    assert homology_property_sweep(model, 3).issues == tuple(
+        f"i({a},{b})=1 but |<.,.>|=0" for a, b in pairs
+    ) + tuple(f"matrices of {a},{b} commute despite i=1" for a, b in pairs)
 
 
 def test_degenerate_n_rejected():
