@@ -9,20 +9,15 @@ exact integer homology oracle and a permutation-group oracle on the ends.
 
 from .labels import CurveLabel, ShiftLabel
 from .modelfile import load_model, parse_model_file, parse_model_text
-from .models import (
-    SurfaceModel,
-    apply_symmetry,
-    apply_symmetry_shift,
-    intersection_number,
-    validate_model,
-)
+from .models import SurfaceModel
+
+intersection_number = SurfaceModel.intersection
+validate_model = SurfaceModel.validate
 
 __all__ = [
     "CurveLabel",
     "ShiftLabel",
     "SurfaceModel",
-    "apply_symmetry",
-    "apply_symmetry_shift",
     "intersection_number",
     "load_model",
     "parse_model_file",

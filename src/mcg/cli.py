@@ -127,7 +127,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         [Permutation.from_cycles(4, "(1 2)(3 4)"), Permutation.from_cycles(4, "(1 3)(2 4)")]
     )
     run("BSGS order of the Klein four-group = 4", klein == 4, str(klein))
-    for n in (16, 17):
+    for n in (16, 17, 18, 19):
         ncyc = Permutation.from_cycles(n, "(" + " ".join(map(str, range(1, n + 1))) + ")")
         ok, got = certify_full_symmetric([ncyc, Permutation.from_cycles(n, "(1 2)")], n)
         run(f"BSGS certifies Sym_{n} from n-cycle and transposition", ok, f"order {got}")

@@ -25,9 +25,10 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .errors import ModelFileError
+from .errors import McgError, ModelFileError
 from .labels import family_parse
 from .models import AdjacencyRule, IndexPattern, LabelPattern, SurfaceModel, SymmetrySpec
+from .permgroup import Permutation
 
 _LABEL_RE = re.compile(r"^(A'|A|B|C)\[([^\]]*)\]$")
 _NAME_EXP_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(~)?(?:\^(-?\d+))?$")
@@ -88,29 +89,6 @@ def _label_pattern(text: str, kind: str, where: tuple[str, int]) -> LabelPattern
     if len(parts) != 1:
         raise ModelFileError(f"{text!r}: chain patterns take one index", path, line)
     return LabelPattern(fam, _index_pattern(parts[0], "k", where), None)
-
-
-def _parse_cycles(text: str, n: int, where: tuple[str, int]) -> tuple[int, ...]:
-    path, line = where
-    cycles = re.findall(r"\(([^()]*)\)", text)
-    if not cycles or re.sub(r"\([^()]*\)|\s", "", text):
-        raise ModelFileError(f"bad permutation {text!r}", path, line)
-    points: dict[int, int] = {}
-    top = 0
-    for cyc in cycles:
-        elems = []
-        for t in cyc.split():
-            if not t.isdecimal() or int(t) < 1:
-                raise ModelFileError(f"bad point {t!r} in permutation {text!r} (points start at 1)", path, line)
-            if int(t) > n:
-                raise ModelFileError(f"point {t} in permutation {text!r} is above n={n}", path, line)
-            elems.append(int(t))
-        top = max(top, *elems) if elems else top
-        for a, b in zip(elems, elems[1:] + elems[:1]):
-            if a in points:
-                raise ModelFileError(f"point {a} repeated in {text!r}", path, line)
-            points[a] = b
-    return tuple(points.get(e, e) for e in range(1, top + 1))
 
 
 def _name_word(text: str, where: tuple[str, int]) -> tuple[tuple[str, int], ...]:
@@ -174,7 +152,11 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
             if name in symmetries:
                 raise ModelFileError(f"symmetry {name!r} already declared", path, lineno)
             if sort == "perm":
-                symmetries[name] = SymmetrySpec(name, "perm", perm=_parse_cycles(spec, n, where))
+                try:
+                    perm = Permutation.from_cycles(n, spec)
+                except McgError as e:
+                    raise ModelFileError(str(e), path, lineno) from None
+                symmetries[name] = SymmetrySpec(name, "perm", perm=perm.images)
                 continue
             swap = False
             if spec.endswith("swap"):

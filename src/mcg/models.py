@@ -113,7 +113,7 @@ class SymmetrySpec:
     ``affine`` symmetries act on labels through the index map
     ``x -> u*x + v`` (ends for ``sn``, chain coordinate otherwise), with an
     optional A/A' family exchange. ``perm`` symmetries carry only an end
-    permutation and admit no label action.
+    permutation, the image tuple of all n ends, and admit no label action.
     """
 
     name: str
@@ -380,8 +380,7 @@ class SurfaceModel:
             raise UndefinedSymmetry(f"unknown symmetry {name!r} in {self.describe()}")
         if spec.kind == "perm":
             assert spec.perm is not None
-            padded = spec.perm + tuple(range(len(spec.perm) + 1, self.n + 1))
-            return padded
+            return spec.perm
         if self.kind == "sn":
             return Automorphism(self.kind, self.n, spec.u, spec.v, spec.swap).end_permutation()
         if self.kind == "jacob":
@@ -469,23 +468,3 @@ class SurfaceModel:
                     issues.append(ValidationIssue("shift", f"{nm} applied twice moved {h}"))
 
         return ValidationReport(self.describe(), window, len(labels), tuple(issues))
-
-
-# ---------------------------------------------------------------------------
-# module-level operation wrappers
-
-
-def intersection_number(model: SurfaceModel, c1: CurveLabel, c2: CurveLabel) -> int:
-    return model.intersection(c1, c2)
-
-
-def apply_symmetry(model: SurfaceModel, s: str, c: CurveLabel) -> CurveLabel:
-    return model.automorphism(s).act_curve(model.check_curve(c))
-
-
-def apply_symmetry_shift(model: SurfaceModel, s: str, h: ShiftLabel) -> tuple[ShiftLabel, int]:
-    return model.automorphism(s).act_shift(h, 1)
-
-
-def validate_model(model: SurfaceModel, window: int) -> ValidationReport:
-    return model.validate(window)

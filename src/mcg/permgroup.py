@@ -2,9 +2,11 @@
 
 Twists and handle shifts fix every end, so a word's image in Sym_n is the
 composite of its symmetry letters' end permutations. Orders of generated
-subgroups are computed with a deterministic (no randomization) incremental
-Schreier-Sims base-and-strong-generating-set construction, exact over
-Python's big integers; desk-scale degrees need nothing fancier.
+subgroups come from the deterministic incremental Schreier-Sims algorithm
+(Seress, *Permutation Group Algorithms*, 2003, ch. 4; Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, sec. 4.4), run as
+one worklist in which every Schreier generator is sifted once. Orders are
+exact over Python's big integers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import McgError
 from .words import Sym, Word
@@ -75,9 +76,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(img == i for i, img in enumerate(self.images, start=1))
 
-    def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
         out = []
@@ -107,12 +105,17 @@ class Permutation:
         if not re.fullmatch(r"\s*(\(\s*(\d+(\s+\d+)*)?\s*\)\s*)*", text):
             raise McgError(f"bad cycle notation {text!r}")
         images = list(range(1, n + 1))
+        seen: set[int] = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
             elems = [int(t) for t in cyc.split()]
-            if any(not 1 <= e <= n for e in elems):
-                raise McgError(f"cycle {cyc!r} leaves 1..{n}")
-            if len(set(elems)) != len(elems):
-                raise McgError(f"repeated point in cycle {cyc!r}")
+            for e in elems:
+                if e < 1:
+                    raise McgError(f"point {e} in {text!r}: points start at 1")
+                if e > n:
+                    raise McgError(f"point {e} in {text!r} is above n={n}")
+                if e in seen:
+                    raise McgError(f"point {e} repeated in {text!r}")
+                seen.add(e)
             for a, b in zip(elems, elems[1:] + elems[:1]):
                 images[a - 1] = b
         return Permutation(tuple(images))
@@ -130,107 +133,56 @@ def project(w: Word) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# deterministic Schreier-Sims
-
-
-class PermGroup:
-    """Base and strong generating set for a finite permutation group."""
-
-    def __init__(self, gens: list[Permutation], n: int | None = None):
-        if n is None:
-            if not gens:
-                raise McgError("degree required for the trivial group")
-            n = gens[0].n
-        self.n = n
-        self.base: list[int] = []
-        self._level_gens: list[list[Permutation]] = []
-        self._transversal: list[dict[int, Permutation]] = []
-        for g in gens:
-            if g.n != n:
-                raise McgError("generator degrees differ")
-            self._add(g, 0)
-
-    # -- chain plumbing ------------------------------------------------------
-
-    def _gens_at(self, level: int) -> list[Permutation]:
-        return [g for lv in range(level, len(self.base)) for g in self._level_gens[lv]]
-
-    def _strip(self, p: Permutation, level: int) -> tuple[Permutation, int]:
-        for j in range(level, len(self.base)):
-            pt = p(self.base[j])
-            pair = self._transversal[j].get(pt)
-            if pair is None:
-                return p, j
-            p = pair[1] * p
-        return p, len(self.base)
-
-    def _rebuild_orbit(self, level: int) -> None:
-        # transversal maps an orbit point to (rep, rep inverse)
-        b = self.base[level]
-        gens = self._gens_at(level)
-        ident = Permutation.identity(self.n)
-        trans = {b: (ident, ident)}
-        queue = [b]
-        head = 0
-        while head < len(queue):
-            pt = queue[head]
-            head += 1
-            rep = trans[pt][0]
-            for g in gens:
-                img = g(pt)
-                if img not in trans:
-                    moved = g * rep
-                    trans[img] = (moved, moved.inverse())
-                    queue.append(img)
-        self._transversal[level] = trans
-
-    def _add(self, g: Permutation, level: int) -> None:
-        residue, j = self._strip(g, level)
-        if residue.is_identity():
-            return
-        if j == len(self.base):
-            moved = next(i for i in range(1, self.n + 1) if residue(i) != i)
-            ident = Permutation.identity(self.n)
-            self.base.append(moved)
-            self._level_gens.append([])
-            self._transversal.append({moved: (ident, ident)})
-        self._level_gens[j].append(residue)
-        for lv in range(j, level - 1, -1):
-            self._close(lv)
-
-    def _close(self, level: int) -> None:
-        """Rebuild the orbit at one level and sift every Schreier generator
-        one level down, repeating until the sweep adds nothing new."""
-        while True:
-            self._rebuild_orbit(level)
-            size_before = self._chain_size()
-            gens = self._gens_at(level)
-            for pt, (rep, _) in list(self._transversal[level].items()):
-                for g in gens:
-                    img_inv = self._transversal[level][g(pt)][1]
-                    schreier = img_inv * g * rep
-                    if not schreier.is_identity():
-                        self._add(schreier, level + 1)
-            if self._chain_size() == size_before:
-                return
-
-    def _chain_size(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self._transversal)
-
-    # -- queries --------------------------------------------------------------
-
-    def order(self) -> int:
-        out = 1
-        for t in self._transversal:
-            out *= len(t)
-        return out
+# incremental Schreier-Sims
 
 
 def group_order(gens: list[Permutation], n: int | None = None) -> int:
-    """Exact order of the subgroup generated by ``gens``."""
+    """Exact order of the subgroup generated by ``gens``.
+
+    One worklist of (element, level) pairs. Each element is sifted through
+    the chain from its level; a non-identity residue becomes a strong
+    generator at every level from there down to where it stopped, opening
+    a new base point when it got through them all. An orbit grows only
+    along (orbit point, strong generator) pairs it has not seen, and each
+    such pair that leads back into the orbit gives one Schreier generator,
+    queued at the next level. The order is the product of the orbit lengths.
+    """
     if not gens:
         return 1
-    return PermGroup(gens, n).order()
+    n = gens[0].n if n is None else n
+    if any(g.n != n for g in gens):
+        raise McgError("generator degrees differ")
+    ident = Permutation.identity(n)
+    base: list[int] = []
+    strong: list[list[Permutation]] = []  # level i: generators fixing base[:i]
+    orbits: list[dict[int, tuple[Permutation, Permutation]]] = []  # point -> (u, u^-1), u(base[i]) = point
+    work = [(g, 0) for g in gens]
+    while work:
+        g, start = work.pop()
+        stop = start
+        while stop < len(base) and (entry := orbits[stop].get(g(base[stop]))) is not None:
+            g = entry[1] * g
+            stop += 1
+        if g == ident:
+            continue
+        if stop == len(base):
+            point = next(i for i in range(1, n + 1) if g(i) != i)
+            base.append(point)
+            strong.append([])
+            orbits.append({point: (ident, ident)})
+        for level in range(start, stop + 1):
+            strong[level].append(g)
+            orbit = orbits[level]
+            pairs = [(pt, g) for pt in orbit]
+            while pairs:
+                pt, s = pairs.pop()
+                img, moved = s(pt), s * orbit[pt][0]
+                if img not in orbit:
+                    orbit[img] = (moved, moved.inverse())
+                    pairs.extend((img, t) for t in strong[level])
+                elif moved != orbit[img][0]:
+                    work.append((orbit[img][1] * moved, level + 1))
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def certify_full_symmetric(gens: list[Permutation], n: int) -> tuple[bool, int]:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from mcg import apply_symmetry, apply_symmetry_shift, intersection_number, validate_model
+from mcg import intersection_number, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
 from mcg.labels import CurveLabel
 from mcg.modelfile import builtin_model_text, parse_model_text
@@ -44,39 +44,39 @@ def test_star_pattern_within_one_strand(sn17):
 
 def test_apply_symmetry_rho3(sn17):
     model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
-    img = apply_symmetry(model, "rho3", sn17.curve("A", 1, 1))
+    img = model.automorphism("rho3").act_curve(model.check_curve(sn17.curve("A", 1, 1)))
     assert img == sn17.curve("Ap", 1, 9)
-    assert apply_symmetry(model, "rho3", sn17.curve("C", 0, 1)) == sn17.curve("C", 0, 8)
-    assert apply_symmetry(model, "rho3", sn17.curve("B", 1, 4)) == sn17.curve("B", 1, 6)
+    assert model.automorphism("rho3").act_curve(model.check_curve(sn17.curve("C", 0, 1))) == sn17.curve("C", 0, 8)
+    assert model.automorphism("rho3").act_curve(model.check_curve(sn17.curve("B", 1, 4))) == sn17.curve("B", 1, 6)
 
 
 def test_apply_symmetry_rotation_shifts_ends(sn17):
     model = replace(sn17, aliases={"R2": (("R", 2),)})
-    assert apply_symmetry(model, "R2", sn17.curve("A", 1, 1)) == sn17.curve("A", 1, 3)
+    assert model.automorphism("R2").act_curve(model.check_curve(sn17.curve("A", 1, 1))) == sn17.curve("A", 1, 3)
 
 
 def test_apply_symmetry_chain_shift_inverse(lochness):
     model = replace(lochness, aliases={**lochness.aliases, "Hinv": (("H", -1),)})
-    img = apply_symmetry(model, "Hinv", lochness.curve("B", 2))
+    img = model.automorphism("Hinv").act_curve(model.check_curve(lochness.curve("B", 2)))
     assert img == lochness.curve("B", 1)
 
 
 def test_apply_symmetry_shift_reflection_flips(sn17):
     model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
     h, _ = sn17.shift(13, 14)
-    assert apply_symmetry_shift(model, "rho3", h) == (h, -1)
-    assert apply_symmetry_shift(sn17, "R", h) == (sn17.shift(14, 15)[0], 1)
+    assert model.automorphism("rho3").act_shift(h, 1) == (h, -1)
+    assert sn17.automorphism("R").act_shift(h, 1) == (sn17.shift(14, 15)[0], 1)
 
 
 def test_identity_on_shift(sn16):
     model = replace(sn16, aliases={"e": ()})
     h, _ = sn16.shift(1, 2)
-    assert apply_symmetry_shift(model, "e", h) == (h, 1)
+    assert model.automorphism("e").act_shift(h, 1) == (h, 1)
 
 
 def test_tau_has_no_label_action(sn17):
     with pytest.raises(UndefinedSymmetry):
-        apply_symmetry(sn17, "tau", sn17.curve("A", 1, 1))
+        sn17.automorphism("tau").act_curve(sn17.check_curve(sn17.curve("A", 1, 1)))
 
 
 def test_invalid_labels_rejected(sn17, lochness):

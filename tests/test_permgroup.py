@@ -48,7 +48,7 @@ def test_alternating_group_from_three_cycles():
 
 
 def test_certify_full_symmetric_16_17():
-    for n in (16, 17):
+    for n in (16, 17, 18, 19):
         ncyc = Permutation.from_cycles(n, "(" + " ".join(map(str, range(1, n + 1))) + ")")
         ok, order = certify_full_symmetric([ncyc, Permutation.from_cycles(n, "(1 2)")], n)
         assert ok and order == math.factorial(n)
@@ -67,7 +67,19 @@ def test_single_generator_order_is_cycle_lcm(seed):
     images = list(range(1, 9))
     rng.shuffle(images)
     p = Permutation(tuple(images))
-    assert group_order([p]) == p.order()
+    assert group_order([p]) == math.lcm(*(len(c) for c in p.cycles()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_order_matches_brute_force(data):
+    # each generator moves at most its first k points, so sets whose k all
+    # fall short of n fix point n and act intransitively
+    n = data.draw(st.integers(2, 7))
+    head = st.integers(1, n).flatmap(lambda k: st.permutations(range(1, k + 1)))
+    perm = head.map(lambda images: Permutation(tuple(images) + tuple(range(len(images) + 1, n + 1))))
+    gens = data.draw(st.lists(perm, min_size=1, max_size=3))
+    assert group_order(gens) == brute_force_order(gens)
 
 
 def test_projection_of_pure_words_is_identity(sn17):
