@@ -23,20 +23,28 @@ A verdict is always relative to the common valid subspace: ``Consistent`` is
 a necessary condition, not a proof.
 
 One kernel, ``_push``, applies a word right to left to all start columns
-at once. A transvection moves only the columns that pair with c, so the
-kernel keeps a row index (basis key -> live columns nonzero there) and, at
-each twist, pairs only the columns listed under the mates of c's keys.
-Symmetry and shift letters relabel every live column and rebuild the index.
+at once, at a cost that follows the columns twists touch rather than the
+size of the basis. Columns stay in start coordinates: only a column that a
+twist has changed is stored, with a row index (key -> stored columns
+nonzero there); every other live column is the unit vector at its own
+start key, and its row entry is implicit. Symmetry and shift letters
+compose into one pending relabel, the end or index map of an
+``Automorphism`` plus, on ``sn``, a genus offset per end for the shifts. A
+twist pulls its class back through that relabel and pairs only the columns
+holding the mates of its keys. A relabel letter masks the columns holding
+a key that leaves the window; only the leaving keys are looked up in the
+row index (four for a shift, 2|v| for a chain map x -> +-x + v, none for
+an ``sn`` symmetry, which keeps the genus). Images are built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
-from .labels import CurveLabel, ShiftLabel
+from .labels import CurveLabel
 from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Twist, Word
 
@@ -56,10 +64,13 @@ class TruncatedBasis:
         if self.window < 2:
             raise OutOfWindow("window must be at least 2")
 
+    def _top(self, reach: int | None) -> int:
+        return self.window if reach is None else min(self.window, reach)
+
     def keys(self, reach: int | None = None) -> list[Key]:
         """Keys in basis order; with ``reach``, only those whose genus (sn)
         or index magnitude (chain models) is at most ``reach``."""
-        top = self.window if reach is None else min(self.window, reach)
+        top = self._top(reach)
         out: list[Key] = []
         if self.model.kind == "sn":
             for e in range(1, self.model.n + 1):
@@ -70,10 +81,18 @@ class TruncatedBasis:
                 out.extend((("a", k), ("b", k)))
         return out
 
-    def in_window(self, key: Key) -> bool:
+    def size(self, reach: int | None = None) -> int:
+        """``len(self.keys(reach))``, without building the keys."""
+        top = self._top(reach)
+        return 2 * self.model.n * top if self.model.kind == "sn" else 2 * (2 * top + 1)
+
+    def in_window(self, key: Key, reach: int | None = None) -> bool:
+        """Whether ``key`` is in the window; with ``reach``, whether it is
+        one of ``self.keys(reach)``."""
+        top = self._top(reach)
         if self.model.kind == "sn":
-            return 1 <= key[2] <= self.window
-        return -self.window <= key[1] <= self.window
+            return 1 <= key[2] <= top
+        return -top <= key[1] <= top
 
     def key_label(self, key: Key) -> str:
         fam = "A" if key[0] == "a" else "B"
@@ -135,52 +154,132 @@ def _aut_key(aut: Automorphism, key: Key) -> Key:
     return (key[0], aut._map_index(key[1]))
 
 
-def _shift_key(h: ShiftLabel, exp: int, key: Key) -> Key | None:
-    """Basis key carried by the shift ``h^exp``; None when it would cross
-    the central region."""
-    end = key[1]
-    if end not in (h.from_end, h.to_end):
-        return key
-    attract = h.to_end if exp > 0 else h.from_end
-    genus = key[2] + 1 if end == attract else key[2] - 1
-    if genus < 1:
-        return None
-    return (key[0], end, genus)
+class _Relabel:
+    """The symmetry and shift letters applied so far, as one key map from
+    start coordinates to current ones: the end (sn) or index (chain) map of
+    an ``Automorphism``, and on ``sn`` a genus offset per start end."""
+
+    def __init__(self, model: SurfaceModel):
+        self.sn = model.kind == "sn"
+        self.aut = self.inv = Automorphism.identity(model)
+        self.lift: dict[int, int] = {}  # start end -> genus offset (sn)
+
+    def forward(self, key: Key) -> Key:
+        if self.sn:
+            return (key[0], self.aut._map_end(key[1]), key[2] + self.lift.get(key[1], 0))
+        return (key[0], self.aut._map_index(key[1]))
+
+    def back(self, key: Key) -> Key:
+        if self.sn:
+            end = self.inv._map_end(key[1])
+            return (key[0], end, key[2] - self.lift.get(end, 0))
+        return (key[0], self.inv._map_index(key[1]))
+
+    def then_symmetry(self, aut: Automorphism) -> None:
+        self.aut = aut.compose(self.aut)
+        self.inv = self.inv.compose(aut.inverse())
+
+    def then_shift(self, attract: int, repel: int) -> None:
+        """A shift moves its attracting end's strand out by one handle and
+        the other end's strand in by one."""
+        for end, step in ((attract, 1), (repel, -1)):
+            start = self.inv._map_end(end)
+            self.lift[start] = self.lift.get(start, 0) + step
+
+    def signature(self) -> tuple:
+        """Equal signatures mean equal key maps."""
+        return self.aut.u, self.aut.v, frozenset((e, d) for e, d in self.lift.items() if d)
 
 
-def _push(
-    basis: TruncatedBasis, letters: Sequence[Letter], starts: Iterable[Key]
-) -> dict[Key, Vec | UndefinedSymmetry]:
-    """Apply a word, right to left, to the unit columns at ``starts`` at once.
+@dataclass
+class _Pushed:
+    """A word applied to the unit start columns, kept lazily.
 
-    Returns the surviving columns by start key; a masked column is absent.
-    When live columns reach a symmetry without a label action, the word
-    stops there and each of them maps to that error instead.
+    ``cols`` holds, in start coordinates, the columns a twist has changed;
+    every other start outside ``dead`` (the masked ones) is still its own
+    unit vector. ``relabel`` carries start coordinates to the image's.
+    ``error`` is set when live columns reached a symmetry without a label
+    action; the word stopped there and each of them maps to that error.
+    """
+
+    cols: dict[Key, Vec]
+    dead: set[Key]
+    relabel: _Relabel
+    error: UndefinedSymmetry | None
+
+    def stored(self, start: Key) -> Vec:
+        return self.cols.get(start) or {start: 1}
+
+    def image(self, start: Key) -> Vec | None:
+        """The column at ``start`` in current coordinates; None when masked."""
+        if start in self.dead:
+            return None
+        move = self.relabel.forward
+        return {move(k): c for k, c in self.stored(start).items()}
+
+
+def _leaving(window: int, aut: Automorphism) -> list[Key]:
+    """Keys inside the window that a symmetry carries out of it: a chain
+    map x -> u x + v pushes |v| positions off (at most the whole window);
+    ``sn`` symmetries keep the genus."""
+    if aut.kind == "sn":
+        return []
+    u, v, w = aut.u, aut.v, window
+    # the window's images fill [v - w, v + w]; map back the parts outside [-w, w]
+    out = chain(range(v - w, min(-w, v + w + 1)), range(max(w + 1, v - w), v + w + 1))
+    return [(f, u * (y - v)) for y in out for f in "ab"]
+
+
+def _push(basis: TruncatedBasis, letters: Sequence[Letter], reach: int | None = None) -> _Pushed:
+    """Apply a word, right to left, to the unit columns at ``basis.keys(reach)``
+    at once.
+
+    A twist changes only the columns that pair with its class; symmetry and
+    shift letters compose into the pending relabel and mask the columns
+    holding a key that leaves the window, found through the row index.
     """
     inside = basis.in_window
-    cols: dict[Key, Vec] = {k: {k: 1} for k in starts}
-    rows: dict[Key, set[Key]] = {k: {k} for k in cols}  # key -> columns nonzero there
-    classes: dict[CurveLabel, tuple[Vec, list[tuple[Key, int]], bool]] = {}
+    cols: dict[Key, Vec] = {}
+    rows: dict[Key, set[Key]] = {}  # start-coordinate key -> stored columns nonzero there
+    dead: set[Key] = set()
+    starts = basis.size(reach)
+    relabel = _Relabel(basis.model)
+    classes: dict[CurveLabel, tuple[Vec, bool]] = {}
+
+    def holders(key: Key) -> set[Key]:
+        found = set(rows.get(key, ()))
+        if key not in cols and key not in dead and inside(key, reach):
+            found.add(key)  # an untouched live start
+        return found
+
+    def mask(start: Key) -> None:
+        for k in cols.pop(start, ()):
+            rows[k].discard(start)
+        dead.add(start)
+
     for g in reversed(letters):
-        if not cols:
+        if len(dead) == starts:
             break
         if isinstance(g, Twist):
             hit = classes.get(g.label)
             if hit is None:
                 cls = basis.class_of(g.label)
-                # <v, cls> is the sum of weight * v[mate] over the class's keys
-                mates = [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
-                hit = classes[g.label] = (cls, mates, all(inside(k) for k in cls))
-            cls, mates, fits = hit
-            for start in set().union(*(rows.get(m, ()) for m, _ in mates)):
-                v = cols[start]
+                hit = classes[g.label] = (cls, all(inside(k) for k in cls))
+            cls, fits = hit
+            cls = {relabel.back(k): c for k, c in cls.items()}
+            # <v, cls> is the sum of weight * v[mate] over the class's keys
+            mates = [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
+            for start in set().union(*(holders(m) for m, _ in mates)):
+                v = cols.get(start) or {start: 1}
                 s = g.exp * sum(w * v.get(m, 0) for m, w in mates)
                 if not s:
                     continue
                 if not fits:  # the image gains a key outside the window
-                    for k in cols.pop(start):
-                        rows[k].discard(start)
+                    mask(start)
                     continue
+                if start not in cols:
+                    cols[start] = v
+                    rows.setdefault(start, set()).add(start)
                 for k, c in cls.items():
                     x = v.get(k, 0) + s * c
                     if x:
@@ -191,29 +290,25 @@ def _push(
                         rows[k].discard(start)
             continue
         if isinstance(g, Shift):
-            move = partial(_shift_key, g.label, g.exp)
+            # genus W leaves off the attracting end, genus 1 of the other
+            # end would cross the central region
+            h = g.label
+            attract, repel = (h.to_end, h.from_end) if g.exp > 0 else (h.from_end, h.to_end)
+            leaving = [(f, attract, basis.window) for f in "ab"] + [(f, repel, 1) for f in "ab"]
         else:
             try:
                 aut = basis.model.automorphism_of_word([(g.name, g.exp)])
             except UndefinedSymmetry as e:
-                return dict.fromkeys(cols, e)
-            move = partial(_aut_key, aut)
-        moved: dict[Key, Vec] = {}
-        for start, v in cols.items():
-            out: Vec = {}
-            for k, c in v.items():
-                nk = move(k)
-                if nk is None or not inside(nk):
-                    break
-                out[nk] = c
-            else:
-                moved[start] = out
-        cols = moved
-        rows = {}
-        for start, v in cols.items():
-            for k in v:
-                rows.setdefault(k, set()).add(start)
-    return cols
+                return _Pushed(cols, dead, relabel, e)
+            leaving = _leaving(basis.window, aut)
+        for key in leaving:
+            for start in holders(relabel.back(key)):
+                mask(start)
+        if isinstance(g, Shift):
+            relabel.then_shift(attract, repel)
+        else:
+            relabel.then_symmetry(aut)
+    return _Pushed(cols, dead, relabel, None)
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +372,46 @@ def verify_identity_homology(
     column whose genus exceeds every touched genus plus the total shift
     displacement never meets a twist class or a shifted strand edge; on the
     chain models the same holds beyond the touched positions plus the total
-    translation distance.
+    translation distance. Of the rest, only columns that a twist changed
+    on either side are built, unless the two words end with different
+    relabels.
     """
     if w1.model is not w2.model:
         return HomologyResult("Inconclusive", "model mismatch")
     basis = TruncatedBasis(w1.model, window)
     top, disp = _support_bound((w1, w2))
-    keys = basis.keys(top + disp + 1)
-    out1 = _push(basis, w1.letters, keys)
-    out2 = _push(basis, w2.letters, keys)
-
-    valid = 0
-    for key in keys:
-        c1, c2 = out1.get(key), out2.get(key)
-        for c in (c1, c2):
-            if isinstance(c, UndefinedSymmetry):
-                return HomologyResult("Inconclusive", str(c))
-        if c1 is None or c2 is None:
-            continue
-        valid += 1
-        if c1 != c2:
-            witness = (
-                f"{basis.key_label(key)} maps to "
-                f"{_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
-            )
-            return HomologyResult("Refuted", witness, valid, len(keys))
+    reach = top + disp + 1
+    checked = basis.size(reach)
+    p1 = _push(basis, w1.letters, reach)
+    p2 = _push(basis, w2.letters, reach)
+    if p1.error or p2.error:
+        # the first start in basis order that was live at an error
+        for key in basis.keys(reach):
+            for p in (p1, p2):
+                if p.error and key not in p.dead:
+                    return HomologyResult("Inconclusive", str(p.error))
+    dead = p1.dead | p2.dead
+    if p1.relabel.signature() == p2.relabel.signature():
+        # a column untouched on both sides is one unit vector, relabelled alike
+        differ = {k for k in p1.cols.keys() | p2.cols.keys() if k not in dead and p1.stored(k) != p2.stored(k)}
+    else:
+        differ = {k for k in basis.keys(reach) if k not in dead and p1.image(k) != p2.image(k)}
+    if differ:
+        valid = 0
+        for key in basis.keys(reach):
+            if key in dead:
+                continue
+            valid += 1
+            if key in differ:
+                witness = (
+                    f"{basis.key_label(key)} maps to "
+                    f"{_fmt_vec(basis, p1.image(key))} vs {_fmt_vec(basis, p2.image(key))}"
+                )
+                return HomologyResult("Refuted", witness, valid, checked)
+    valid = checked - len(dead)
     if valid == 0:
-        return HomologyResult("Inconclusive", "empty valid subspace", 0, len(keys))
-    return HomologyResult("Consistent", "", valid, len(keys))
+        return HomologyResult("Inconclusive", "empty valid subspace", 0, checked)
+    return HomologyResult("Consistent", "", valid, checked)
 
 
 def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
@@ -345,11 +452,10 @@ def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
     """Matrix of a word over the whole truncation, masked columns dropped
     as their trajectories leave the window."""
     keys = basis.keys()
-    out = _push(basis, w.letters, keys)
-    for v in out.values():
-        if isinstance(v, UndefinedSymmetry):
-            raise v
-    return IntMatrix(basis, {k: out.get(k, {}) for k in keys}, frozenset(out))
+    p = _push(basis, w.letters)
+    if p.error:
+        raise p.error
+    return IntMatrix(basis, {k: p.image(k) or {} for k in keys}, frozenset(keys) - p.dead)
 
 
 def transvection_selftest() -> None:

@@ -34,6 +34,15 @@ _LABEL_RE = re.compile(r"^(A'|A|B|C)\[([^\]]*)\]$")
 _NAME_EXP_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(~)?(?:\^(-?\d+))?$")
 
 
+def _decimal(text: str, where: tuple[str, int]) -> int:
+    """A decimal literal, or a positioned error for one longer than the
+    interpreter converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ModelFileError(f"a {len(text.lstrip('-'))}-digit number is too long to read", *where) from None
+
+
 def _affine(expr: str, n: int | None, var: str, where: tuple[str, int]) -> tuple[int, int]:
     """Parse ``u*var + v`` with u in {-1, 0, +1}; ``n`` is substituted numerically."""
     path, line = where
@@ -49,7 +58,7 @@ def _affine(expr: str, n: int | None, var: str, where: tuple[str, int]) -> tuple
         elif tok == "-":
             sign = -1
         elif tok.isdigit():
-            v += sign * int(tok)
+            v += sign * _decimal(tok, where)
             seen_term = True
         elif tok == var:
             u += sign
@@ -97,7 +106,7 @@ def _name_word(text: str, where: tuple[str, int]) -> tuple[tuple[str, int], ...]
         m = _NAME_EXP_RE.match(tok)
         if not m:
             raise ModelFileError(f"bad symmetry word token {tok!r}", *where)
-        exp = int(m.group(3)) if m.group(3) else 1
+        exp = _decimal(m.group(3), where) if m.group(3) else 1
         if m.group(2):
             exp = -exp
         out.append((m.group(1), exp))

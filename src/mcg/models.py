@@ -244,9 +244,10 @@ class SurfaceModel:
     def __post_init__(self):
         if self.kind == "sn" and self.n < 3:
             raise McgError(f"sn model needs n >= 3, got {self.n}")
-        # neighbour memo: idempotent values, filled on first use; the model
-        # is otherwise immutable
+        # neighbour and symmetry-word memos: idempotent values, filled on
+        # first use; the model is otherwise immutable
         object.__setattr__(self, "_ncache", {})
+        object.__setattr__(self, "_acache", {})
 
     # -- label plumbing ----------------------------------------------------
 
@@ -363,6 +364,14 @@ class SurfaceModel:
 
     def automorphism_of_word(self, letters: Sequence[tuple[str, int]]) -> Automorphism:
         """Compose the actions of ``(name, exponent)`` letters, leftmost applied last."""
+        cache: dict = self._acache  # type: ignore[attr-defined]
+        key = tuple(letters)
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = self._automorphism_of_word_uncached(key)
+        return hit
+
+    def _automorphism_of_word_uncached(self, letters: Sequence[tuple[str, int]]) -> Automorphism:
         aut = Automorphism.identity(self)
         for name, exp in letters:
             a = self.automorphism(name)

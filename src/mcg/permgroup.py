@@ -107,7 +107,11 @@ class Permutation:
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
-            elems = [int(t) for t in cyc.split()]
+            try:
+                elems = [int(t) for t in cyc.split()]
+            except ValueError:  # longer than the interpreter converts
+                digits = max(map(len, cyc.split()))
+                raise McgError(f"a {digits}-digit point in cycle notation is too long to read") from None
             for e in elems:
                 if e < 1:
                     raise McgError(f"point {e} in {text!r}: points start at 1")

@@ -17,6 +17,7 @@ from .rewrite import (
     Verdict,
     check_involution,
     equivalent,
+    normalize,
     reduce_word,
 )
 from .script import (
@@ -129,8 +130,10 @@ def replay(
                 # binding reduction is internal representation management,
                 # not an assertion: give it a working floor so a starved
                 # assertion budget cannot snowball the bound names
-                w = reduce_word(w, max(budget, DEFAULT_BUDGET))
-                ctx.env[stmt.name] = w
+                red = normalize(w, max(budget, DEFAULT_BUDGET))
+                if not red.normalized:
+                    res.witness = f"reduction budget exhausted; kept unreduced ({len(w)} letters)"
+                w = ctx.env[stmt.name] = red.word
                 proved.append((stmt.name, w))
                 res.verdict = "bound"
             elif isinstance(stmt, SAssertEq):
@@ -138,7 +141,7 @@ def replay(
                 right = eval_word(stmt.right, ctx)
                 _check_window(left, window), _check_window(right, window)
                 v = equivalent(left, right, budget, window)
-                hom = verify_identity_homology(left, right, window)
+                hom = _oracle(v, left, right, window)
                 _judge(res, v, hom, getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ())))
                 if res.ok:
                     # both sides are proved equal; the right side is the
@@ -154,10 +157,10 @@ def replay(
                     rho = Word(model, w.letters[:k])
                     x = Word(model, w.letters[k:])
                     v = check_involution(rho, x, budget, window)
-                    hom = verify_identity_homology(rho * x * rho, invert(x), window)
+                    hom = _oracle(v, rho * x * rho, invert(x), window)
                 else:
                     v = equivalent(w * w, empty_word(model), budget, window)
-                    hom = verify_identity_homology(w * w, empty_word(model), window)
+                    hom = _oracle(v, w * w, empty_word(model), window)
                 _judge(res, v, hom, getattr(v, "witness", ""))
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
@@ -194,6 +197,13 @@ def replay(
         report.statements.append(res)
     report.wall_s = time.perf_counter() - t_start
     return report
+
+
+def _oracle(v: Verdict, w1: Word, w2: Word, window: int) -> HomologyResult:
+    """The homology cross-check of w1 = w2; ``v`` is the engine's verdict on
+    the same words, which carries it when the engine already ran it."""
+    hom = getattr(v, "homology", None)
+    return hom if hom is not None else verify_identity_homology(w1, w2, window)
 
 
 def _judge(res: StatementResult, v: Verdict, hom: HomologyResult, witness: str) -> None:

@@ -34,12 +34,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, NotAnInvolution, UndefinedSymmetry
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Sym, Twist, Word, empty_word, invert, invert_letter
+
+if TYPE_CHECKING:
+    from .homology import HomologyResult
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_WINDOW = 40
@@ -74,6 +77,7 @@ class ProvedDistinct:
     kind = "ProvedDistinct"
     oracle: str
     witness: str
+    homology: HomologyResult | None = None  # the oracle's result, when it ran
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class Unknown:
     kind = "Unknown"
     reason: str
     budget_used: int
+    homology: HomologyResult | None = None  # the oracle's result, when it ran
 
 
 Verdict = ProvedEqual | ProvedDistinct | Unknown
@@ -464,8 +469,8 @@ def equivalent(
         return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}")
     hom = verify_identity_homology(w1, w2, window)
     if hom.status == "Refuted":
-        return ProvedDistinct("homology", hom.witness)
-    return Unknown(reason, b.spent)
+        return ProvedDistinct("homology", hom.witness, hom)
+    return Unknown(reason, b.spent, hom)
 
 
 def check_involution(

@@ -357,6 +357,15 @@ class Token:
     col: int
 
 
+def _decimal(text: str, line: int, col: int) -> int:
+    """A decimal literal, or a positioned error for one longer than the
+    interpreter converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"a {len(text)}-digit number is too long to read", line, col) from None
+
+
 def _tokenize(text: str, line: int, col0: int = 0) -> list[Token]:
     out: list[Token] = []
     pos = 0
@@ -364,6 +373,8 @@ def _tokenize(text: str, line: int, col0: int = 0) -> list[Token]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col0 + pos + 1)
+        if m.lastgroup == "int":
+            _decimal(m.group(), line, col0 + pos + 1)  # later int() calls on the token are safe
         if m.lastgroup != "ws":
             out.append(Token(m.lastgroup, m.group(), line, col0 + pos + 1))
         pos = m.end()
@@ -461,10 +472,11 @@ class _Parser:
             )
             if not m:
                 raise ParseError(f"bad PARAM line {rest!r}", line, len(head) + 2)
+            col = len(head) + 2
             self.param = ParamSpec(
-                tuple(int(t) for t in m.group(1).split()),
+                tuple(_decimal(t, line, col) for t in m.group(1).split()),
                 m.group(2).lower() if m.group(2) else None,
-                int(m.group(3)) if m.group(3) else None,
+                _decimal(m.group(3), line, col) if m.group(3) else None,
             )
             return
         if key == "CONVENTIONS":
@@ -484,7 +496,7 @@ class _Parser:
         if key == "BUDGET":
             if not rest.isdigit():
                 raise ParseError(f"bad BUDGET {rest!r}", line, len(head) + 2)
-            self.budget = int(rest)
+            self.budget = _decimal(rest, line, len(head) + 2)
             return
         rest_col = text.upper().index(key) + len(key)
         rest_col += len(text[rest_col:]) - len(text[rest_col:].lstrip())

@@ -69,6 +69,40 @@ def test_permutation_point_above_n_reports_position(tmp_path, capsys):
     assert "bad.model:2" in err and "above n=17" in err
 
 
+# one more digit than Python converts by default (sys.get_int_max_str_digits)
+HUGE = "9" * 5000
+
+
+def test_huge_permutation_point_reports_position(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text(f"kind sn\nsym tau perm (1 {HUGE})\n")
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.model:2" in err and "5000-digit" in err and "Traceback" not in err
+
+
+def test_huge_index_map_constant_reports_position(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text(f"kind sn\nsym R end j -> j + {HUGE}\n")
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.model:2" in err and "5000-digit" in err
+
+
+def test_huge_script_index_reports_position(capsys):
+    assert main(["normalize", f"A[1,{HUGE}]", "--model", "sn", "--n", "17"]) == 2
+    err = capsys.readouterr().err
+    assert "col" in err and "5000-digit" in err
+
+
+def test_huge_projection_point_reports_position(tmp_path, capsys):
+    bad = tmp_path / "bad.mcg"
+    bad.write_text(f"MODEL sn\nPARAM n DEFAULT 17\nASSERT_PROJECTION R = (1 {HUGE})\n")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "5000-digit" in err
+
+
 def test_missing_model_file_exit_two(tmp_path, capsys):
     missing = str(tmp_path / "missing.model")
     assert main(["selfcheck", "--model-file", missing]) == 2
@@ -154,6 +188,15 @@ def test_default_verify_matches_golden_json(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--format", "json", "--out", str(out)]) == 0
     assert _mask_clock(out.read_text(encoding="utf-8")) == GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8")
+
+
+# The many-end regime at window 40, masked the same way.
+@pytest.mark.parametrize("script, n", [("thmA", 129), ("thmB", 128)])
+def test_wide_verify_matches_golden_json(tmp_path, script, n):
+    out = tmp_path / "r.json"
+    assert main(["verify", script, "--n", str(n), "--window", "40", "--format", "json", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / f"verify-wide-{script}-{n}.json"
+    assert _mask_clock(out.read_text(encoding="utf-8")) == golden.read_text(encoding="utf-8")
 
 
 def test_report_dir_writes_csv_and_figures(tmp_path):

@@ -12,7 +12,6 @@ from mcg.homology import (
     TruncatedBasis,
     _aut_key,
     _fmt_vec,
-    _shift_key,
     _support_bound,
     _twist_apply,
     pairing,
@@ -210,6 +209,19 @@ def test_conjugated_twist_is_transvection_about_image_class(sn17):
         assert got.cols[key] == expected_cols[key], key
 
 
+def _shift_key(h, exp, key):
+    """Basis key carried by the shift ``h^exp``; None when it would cross
+    the central region."""
+    end = key[1]
+    if end not in (h.from_end, h.to_end):
+        return key
+    attract = h.to_end if exp > 0 else h.from_end
+    genus = key[2] + 1 if end == attract else key[2] - 1
+    if genus < 1:
+        return None
+    return (key[0], end, genus)
+
+
 def _reference_column(basis, letters, start):
     """One column pushed through a word on its own; None once it is masked."""
     v = {start: 1}
@@ -279,6 +291,47 @@ def test_batched_kernel_matches_per_column_reference(sn16, sn17, jacob, lochness
 
     _assert_matches_reference(TruncatedBasis(model, window), w1)
     assert str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
+
+
+def test_translation_out_and_back_stays_masked(lochness):
+    # H^2 carries indices 2 and 3 off window 3; H^-2 brings them back, but
+    # their columns stay masked. The twist in between is pulled back through
+    # the pending translation: A[3] meets the image b_3 of b_1.
+    basis = TruncatedBasis(lochness, 3)
+    w = W(lochness, Sym("H", -2), tw(lochness, "A", 3), Sym("H", 2))
+    m = word_matrix(basis, w)
+    assert set(basis.keys()) - m.valid == {("a", 2), ("b", 2), ("a", 3), ("b", 3)}
+    assert m.cols[("b", 1)] == {("b", 1): 1, ("a", 1): -1}
+    assert all(m.cols[k] == {k: 1} for k in m.valid - {("b", 1)})
+    _assert_matches_reference(basis, w)
+
+
+def test_shift_edges_found_through_rotation(sn16):
+    # R first, then h[1,2]: start end 1 now sits on the attracting end 2 and
+    # start end 16 on the repelling end 1, so those are the masked edges
+    basis = TruncatedBasis(sn16, 4)
+    h, _ = sn16.shift(1, 2)
+    w = word(sn16, [Shift(h, 1), Sym("R", 1)])
+    m = word_matrix(basis, w)
+    assert set(basis.keys()) - m.valid == {("a", 1, 4), ("b", 1, 4), ("a", 16, 1), ("b", 16, 1)}
+    assert m.cols[("a", 1, 2)] == {("a", 2, 3): 1}
+    assert m.cols[("b", 16, 2)] == {("b", 1, 1): 1}
+    assert m.cols[("a", 3, 2)] == {("a", 4, 2): 1}
+    _assert_matches_reference(basis, w)
+
+
+def test_symmetry_error_fires_on_a_column_masked_on_the_other_side(sn17):
+    # the shift masks a_{1,1} on the left before an unknown symmetry stops
+    # that side; the right reaches tau with a_{1,1} live. a_{1,1} comes first
+    # in basis order, so tau's message wins.
+    with pytest.raises(UndefinedSymmetry) as tau:
+        sn17.automorphism("tau")
+    h, _ = sn17.shift(1, 2)
+    left = word(sn17, [Sym("Q", 1), Shift(h, 1)])
+    right = W(sn17, Sym("tau", 1))
+    res = verify_identity_homology(left, right, 6)
+    assert str(res) == f"Inconclusive(0/0 columns) [{tau.value}]"
+    assert str(res) == str(_reference_verify(left, right, 6))
 
 
 def test_symmetry_without_label_action_is_inconclusive(sn17):

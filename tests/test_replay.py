@@ -52,6 +52,29 @@ def test_perturbed_formula_fails_with_homology_witness():
     assert "Refuted" in bad_stmt.oracle
 
 
+def test_oracle_runs_once_per_statement(monkeypatch):
+    # a refuted identity runs the oracle inside the engine's decision; replay
+    # reuses that result instead of running it again
+    import mcg.homology
+
+    calls = []
+    real = mcg.homology.verify_identity_homology
+
+    def counting(w1, w2, window):
+        calls.append((w1, w2))
+        return real(w1, w2, window)
+
+    monkeypatch.setattr(mcg.homology, "verify_identity_homology", counting)
+    monkeypatch.setattr(mcg.replay, "verify_identity_homology", counting)
+    text = resources.files("mcg.data.scripts").joinpath("thmA.mcg").read_text()
+    bad = text.replace("ASSERT_EQ F2 = A[3] C[3] B[6]", "ASSERT_EQ F2 = A[3] C[3] B[7]")
+    rep = replay(parse(bad, "thmA-perturbed"), n=17)
+    bad_stmt = next(s for s in rep.statements if "B[7]" in s.statement)
+    assert bad_stmt.verdict == "ProvedDistinct" and bad_stmt.oracle.startswith("Refuted")
+    checked = [s for s in rep.statements if s.oracle]
+    assert len(calls) == len(checked) == len(set(calls))
+
+
 def test_refuted_involution_is_an_oracle_conflict(monkeypatch):
     # an involution the engine proves but homology refutes must fail and
     # name the conflict, as ASSERT_EQ does
@@ -81,6 +104,19 @@ def test_starved_budget_gives_unknowns():
     rep = replay(load("thmA"), n=17, budget=1)
     assert not rep.passed
     assert rep.unknowns
+
+
+def test_starved_let_reduction_says_it_kept_the_word(monkeypatch):
+    # a binding whose reduction runs out of budget keeps its unreduced word
+    # and says so, instead of passing silently
+    monkeypatch.setattr(mcg.replay, "DEFAULT_BUDGET", 1)
+    text = "MODEL jacob\nLET x = A[1] B[1] A[1] B[1] A~[1] B~[1]\nLET y = A[1] A~[1]\n"
+    rep = replay(parse(text, "starved.mcg"), budget=1)
+    x, y = rep.statements
+    assert x.verdict == y.verdict == "bound" and x.ok and y.ok
+    assert x.witness == "reduction budget exhausted; kept unreduced (6 letters)"
+    assert len(rep.env["x"]) == 6
+    assert y.witness == "" and len(rep.env["y"]) == 0
 
 
 def test_window_below_displacement_aborts():
