@@ -1,8 +1,9 @@
 """Command-line entry point: verify, selfcheck, shiftmap, project, normalize.
 
 Exit codes: 0 all checks passed, 1 an assertion or property failed (Unknown
-verdicts included), 2 configuration, parse or model errors. The default
-rewrite budget can be overridden with the MCG_BUDGET environment variable.
+verdicts included), 2 configuration, parse or model errors. The rewrite
+budget is the ``--budget`` flag, else the MCG_BUDGET environment variable,
+else a script's BUDGET line, else 100000.
 """
 
 from __future__ import annotations
@@ -27,14 +28,22 @@ from .sweeps import homology_property_sweep, pairing_preservation_sweep
 BUILTIN_SCRIPTS = ("thmA", "thmB", "thmC", "thmD")
 
 
-def _budget_default() -> int:
-    env = os.environ.get("MCG_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise McgError(f"MCG_BUDGET={env!r}: not an integer") from None
+def _budget(flag: int | None) -> int | None:
+    """The rewrite budget set on the command line: the ``--budget`` flag,
+    else MCG_BUDGET, else None (a script's BUDGET line, then the default)."""
+    source = f"--budget {flag}"
+    if flag is None:
+        env = os.environ.get("MCG_BUDGET")
+        if not env:
+            return None
+        source = f"MCG_BUDGET={env!r}"
+        try:
+            flag = int(env)
+        except ValueError:
+            raise McgError(f"{source}: not an integer") from None
+    if flag < 0:
+        raise McgError(f"{source}: a budget cannot be negative")
+    return flag
 
 
 def _load_script_text(name: str) -> tuple[str, str]:
@@ -50,6 +59,7 @@ def _load_script_text(name: str) -> tuple[str, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     runs: list[tuple[ProofScript, int | None]] = []
     try:
+        budget = _budget(args.budget)
         for name in args.scripts or BUILTIN_SCRIPTS:
             script = parse(*_load_script_text(name))
             if args.n is None and script.kind == "sn" and script.param:
@@ -65,7 +75,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 model = parse_model_file(args.model_file, n=n if n is not None else script.default_n())
                 if model.kind != script.kind:
                     raise McgError(f"model file kind {model.kind!r} does not match the script ({script.kind})")
-            reports.append(replay(script, n=n, budget=args.budget, window=args.window, model=model))
+            reports.append(replay(script, n=n, budget=budget, window=args.window, model=model))
     except (McgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -156,8 +166,9 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    budget = _budget(args.budget)
     model, w = _word_from_text(args)
-    res = normalize(w, args.budget)
+    res = normalize(w, DEFAULT_BUDGET if budget is None else budget)
     print(res.word if len(res.word) else "ID")
     if args.trace:
         print("trace:", " ".join(res.trace) or "(none)")
@@ -182,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="replay proof scripts and verdict every assertion")
     v.add_argument("scripts", nargs="*", help=f"script paths or builtin names {BUILTIN_SCRIPTS}")
     v.add_argument("--n", type=int, default=None, help="end count for sn scripts")
-    v.add_argument("--budget", type=int, default=_budget_default(), help="rewrite applications per assertion")
+    v.add_argument(
+        "--budget", type=int, default=None,
+        help="rewrite applications per assertion (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
+    )
     v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="homology truncation window")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -211,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     nrm.add_argument("word")
     nrm.add_argument("--model", choices=("sn", "jacob", "lochness"), default="sn")
     nrm.add_argument("--n", type=int, default=17)
-    nrm.add_argument("--budget", type=int, default=_budget_default())
+    nrm.add_argument("--budget", type=int, default=None, help="rewrite applications (default: MCG_BUDGET, then 100000)")
     nrm.add_argument("--trace", action="store_true", help="print the rewrite trace")
     nrm.add_argument("--matrix", action="store_true", help="print the homology matrix grid")
     nrm.add_argument("--matrix-window", type=int, default=4)

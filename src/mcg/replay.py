@@ -6,10 +6,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import McgError, NotAnInvolution, WindowTooSmall
+from .errors import McgError, NotAnInvolution, UndefinedSymmetry, WindowTooSmall
 from .homology import HomologyResult, _support_bound, verify_identity_homology
 from .modelfile import load_model
-from .models import SurfaceModel
+from .models import Automorphism, SurfaceModel
 from .permgroup import Permutation, project
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -19,6 +19,7 @@ from .rewrite import (
     equivalent,
     normalize,
     reduce_word,
+    split_symmetries,
 )
 from .script import (
     CONVENTIONS_TEXT,
@@ -87,14 +88,44 @@ class ReplayReport:
         return [s for s in self.statements if s.verdict == "Unknown"]
 
 
-def _goal_equivalent(w: Word, proved: list[tuple[str, Word]], budget: int, window: int):
-    # normalization only: goal targets are derived literally by the scripts,
-    # and oracle calls per candidate pair would dominate the replay time
-    for name, candidate in reversed(proved):
-        v = equivalent(candidate, w, budget, window, oracles=False)
-        if v.kind == "ProvedEqual":
-            return name, v
-    return None, None
+_Candidate = tuple[str, Word, Automorphism | None]  # name, word, symmetry part
+
+
+def _goal_candidates(proved: list[tuple[str, Word]]) -> list[_Candidate]:
+    """The proved words newest first, each distinct word once (``equivalent``
+    is deterministic, so an older copy would only repeat a verdict), with its
+    symmetry part: the automorphism of ``split_symmetries``, None when the
+    word holds a symmetry without a label action."""
+    seen: set = set()
+    out = []
+    for name, w in reversed(proved):
+        if w.letters not in seen:
+            seen.add(w.letters)
+            out.append((name, w, _symmetry_part(w)))
+    return out
+
+
+def _symmetry_part(w: Word) -> Automorphism | None:
+    try:
+        return split_symmetries(w)[1]
+    except UndefinedSymmetry:
+        return None
+
+
+def _goal_equivalent(w: Word, candidates: list[_Candidate], budget: int, window: int) -> str | None:
+    """Name of the newest candidate the engine proves equal to ``w``.
+
+    Normalization only: goal targets are derived literally by the scripts,
+    and oracle calls per candidate pair would dominate the replay time. A
+    candidate with another symmetry part is not tried: ``equivalent`` turns
+    such a pair down before any search (both parts come out of ``compose``
+    in normal form, so ``==`` is equality of label actions).
+    """
+    part = _symmetry_part(w)
+    for name, candidate, cpart in candidates:
+        if cpart == part and equivalent(candidate, w, budget, window, oracles=False).kind == "ProvedEqual":
+            return name
+    return None
 
 
 def replay(
@@ -110,7 +141,8 @@ def replay(
         msg = script.param.check(n)
         if msg:
             raise McgError(f"{script.path}: {msg}")
-    budget = budget if budget is not None else (script.budget or DEFAULT_BUDGET)
+    if budget is None:
+        budget = script.budget if script.budget is not None else DEFAULT_BUDGET
     if model is None:
         model = load_model(script.kind, n if script.kind == "sn" else None)
     if n != model.n:
@@ -175,9 +207,9 @@ def replay(
             elif isinstance(stmt, SGoalset):
                 misses = []
                 hits = []
+                candidates = _goal_candidates(proved)
                 for g in stmt.goals:
-                    w = eval_word(g, ctx)
-                    name, _v = _goal_equivalent(w, proved, budget, window)
+                    name = _goal_equivalent(eval_word(g, ctx), candidates, budget, window)
                     if name is None:
                         misses.append(g.text())
                     else:

@@ -24,6 +24,10 @@ The strategy is a deterministic loop:
    reached or the rewrite budget runs out. Shift letters pass over twists by
    relabelling genus indices where the shift's action is defined.
 
+Steps 2 and 3 run on letter numbers (see ``_Ctx``): the trace normal form
+needs only each letter's inverse, commutation class and sort key, so it
+works on small ints. No order depends on the numbers, only on sort keys.
+
 Failure to normalize is not a proof of distinctness: the decision wrapper
 escalates to the homology and end-permutation oracles, whose disagreement is
 a certificate, and otherwise reports Unknown.
@@ -120,19 +124,79 @@ def shift_relabel(model: SurfaceModel, h, exp: int, c: CurveLabel) -> CurveLabel
 
 
 # ---------------------------------------------------------------------------
-# rewrite context: per-model caches for the hot paths
+# rewrite context: letter numbers and per-model caches for the hot paths
+
+TWIST, SHIFT, SYM = 0, 1, 2
+
+
+class _Memo(dict):
+    """A dict that computes a missing value as ``fill(key)`` and keeps it,
+    so a hit is one C-level subscript."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class _Ctx:
-    """Commutation and sort-key memo tables of one model; the model holds
-    it (see ``_ctx``), so it is freed with the model."""
+    """Letter numbers and memo tables of one model; the model holds it (see
+    ``_ctx``), so it is freed with the model.
+
+    The first time the engine sees a letter, the letter and its inverse get
+    numbers (``num``). Flat tables indexed by number hold each letter's
+    inverse (-1 for a symmetry letter, which never cancels), commutation
+    class, sort key, exponent and kind, so the search compares and hashes
+    small ints. No order depends on the numbers: sorts and ranks compare
+    sort keys.
+    """
 
     def __init__(self, model: SurfaceModel):
         self.model = model
+        self.letters: list[Letter] = []  # the letter of each number
+        self.inv: list[int] = []
+        self.cls: list[int] = []
+        self.keys: list[tuple] = []
+        self.exp: list[int] = []
+        self.kind: list[int] = []
         self._ids: dict[tuple, int] = {}  # commutation class -> its number
         self._reps: list[Letter] = []  # one letter of each class, by number
-        self._comm: dict[tuple[int, int], bool] = {}
-        self._key: dict[Letter, tuple] = {}
+        self.num = _Memo(self._number)  # letter -> number
+        self.comm = _Memo(self._commutes_pair)  # (class, class) -> commute?
+        self.twist = _Memo(self._twist)  # (class, exp) -> twist number
+        self.shifted = _Memo(self._shifted)  # (shift, twist, sign) -> image number or -1
+
+    def _number(self, g: Letter) -> int:
+        i = self._add(g)
+        if not isinstance(g, Sym):
+            j = self._add(invert_letter(g))
+            self.inv[i], self.inv[j] = j, i
+        return i
+
+    def _add(self, g: Letter) -> int:
+        i = self.num[g] = len(self.letters)
+        self.letters.append(g)
+        self.inv.append(-1)
+        self.cls.append(self.cid(g))
+        self.keys.append(self._sort_key(g))
+        self.exp.append(g.exp)
+        self.kind.append(TWIST if isinstance(g, Twist) else SHIFT if isinstance(g, Shift) else SYM)
+        return i
+
+    def _twist(self, key: tuple[int, int]) -> int:
+        c, exp = key
+        return self.num[Twist(self._reps[c].label, exp)]
+
+    def _shifted(self, key: tuple[int, int, int]) -> int:
+        """Twist ``t`` carried across shift ``h`` to the power ``sign``; -1
+        when its image has no label (see shift_relabel)."""
+        h, t, sign = key
+        sh, tw = self.letters[h], self.letters[t]
+        img = shift_relabel(self.model, sh.label, sign * sh.exp, tw.label)
+        return -1 if img is None else self.num[Twist(img, tw.exp)]
 
     def cid(self, g: Letter) -> int:
         """Number of the commutation class of ``g``: its letter type and
@@ -145,12 +209,11 @@ class _Ctx:
         return hit
 
     def commutes(self, x: Letter, y: Letter) -> bool:
-        return self.commutes_cid(self.cid(x), self.cid(y))
+        return self.comm[(self.cid(x), self.cid(y))]
 
-    def commutes_cid(self, i: int, j: int) -> bool:
-        hit = self._comm.get((i, j))
-        if hit is None:
-            hit = self._comm[(i, j)] = self._comm[(j, i)] = self._commutes(self._reps[i], self._reps[j])
+    def _commutes_pair(self, key: tuple[int, int]) -> bool:
+        i, j = key
+        hit = self.comm[(j, i)] = self._commutes(self._reps[i], self._reps[j])
         return hit
 
     def _commutes(self, x: Letter, y: Letter) -> bool:
@@ -165,10 +228,7 @@ class _Ctx:
         return not (touched & sh.label.ends)
 
     def key(self, g: Letter) -> tuple:
-        hit = self._key.get(g)
-        if hit is None:
-            hit = self._key[g] = self._sort_key(g)
-        return hit
+        return self.keys[self.num[g]]
 
     def _sort_key(self, g: Letter) -> tuple:
         if isinstance(g, Twist):
@@ -199,9 +259,11 @@ def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism, list[Letter]]
     without a label action (the end swap on sn) must pass over a letter."""
     model = w.model
     aut = Automorphism.identity(model)
-    core: list[Letter] = []
+    letters = w.letters
+    first = next((i for i, g in enumerate(letters) if isinstance(g, Sym)), len(letters))
+    core: list[Letter] = list(letters[:first])  # the identity relabels nothing
     tail: list[Letter] = []
-    for g in w.letters:
+    for g in letters[first:]:
         if isinstance(g, Sym):
             step = model.automorphism_of_word([(g.name, g.exp)])
             aut = aut.compose(step)
@@ -219,23 +281,28 @@ def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism, list[Letter]]
 
 
 def canonical(model: SurfaceModel, letters: Sequence[Letter], budget: Budget) -> tuple[Letter, ...]:
-    """Lexicographically least word of the reduced trace of ``letters``.
+    """Lexicographically least word of the reduced trace of ``letters``."""
+    ctx = _ctx(model)
+    return tuple(ctx.letters[g] for g in _canonical(ctx, [ctx.num[g] for g in letters], budget))
+
+
+def _canonical(ctx: _Ctx, w: Sequence[int], budget: Budget) -> tuple[int, ...]:
+    """``canonical`` on letter numbers.
 
     Reduce: each letter cancels the nearest inverse it can commute back to
     (one budget unit per pair), which leaves the unique reduced trace.
     Sort: the least ready letter goes first, where a letter is ready once
     every earlier letter it does not commute with is placed.
     """
-    ctx = _ctx(model)
-    red: list[Letter] = []
+    inv, cls, keys, comm = ctx.inv, ctx.cls, ctx.keys, ctx.comm
+    red: list[int] = []
     ids: list[int] = []  # commutation class of each letter of red
-    for g in letters:
-        inv = None if isinstance(g, Sym) else invert_letter(g)
-        gid = ctx.cid(g)
+    for g in w:
+        gi, gid = inv[g], cls[g]
         p = len(red) - 1
-        while p >= 0 and red[p] != inv and ctx.commutes_cid(ids[p], gid):
+        while p >= 0 and red[p] != gi and comm[(ids[p], gid)]:
             p -= 1
-        if p >= 0 and red[p] == inv:
+        if p >= 0 and red[p] == gi:
             del red[p], ids[p]
             budget.spend()
         else:
@@ -245,19 +312,19 @@ def canonical(model: SurfaceModel, letters: Sequence[Letter], budget: Budget) ->
     after: list[list[int]] = [[] for _ in red]
     for j, y in enumerate(ids):
         for i in range(j):
-            if not ctx.commutes_cid(ids[i], y):
+            if not comm[(ids[i], y)]:
                 after[i].append(j)
                 blockers[j] += 1
-    ready = [(ctx.key(g), p) for p, g in enumerate(red) if not blockers[p]]
+    ready = [(keys[g], p) for p, g in enumerate(red) if not blockers[p]]
     heapq.heapify(ready)
-    out: list[Letter] = []
+    out: list[int] = []
     while ready:
         _, i = heapq.heappop(ready)
         out.append(red[i])
         for j in after[i]:
             blockers[j] -= 1
             if not blockers[j]:
-                heapq.heappush(ready, (ctx.key(red[j]), j))
+                heapq.heappush(ready, (keys[red[j]], j))
     return tuple(out)
 
 
@@ -265,108 +332,86 @@ def canonical(model: SurfaceModel, letters: Sequence[Letter], budget: Budget) ->
 # braid and shift moves
 
 
-def _movable(ctx: _Ctx, letters: Sequence[Letter], span: tuple[int, int], skip: int, labels) -> bool:
-    """Letters strictly inside span (except position skip) commute with both labels."""
-    la, lb = labels
-    ta, tb = Twist(la, 1), Twist(lb, 1)
-    for p in range(span[0] + 1, span[1]):
-        if p == skip:
-            continue
-        g = letters[p]
-        if not (ctx.commutes(g, ta) and ctx.commutes(g, tb)):
-            return False
-    return True
-
-
-def _neighbors(model: SurfaceModel, letters: tuple[Letter, ...]) -> Iterator[tuple[str, list[Letter]]]:
-    ctx = _ctx(model)
-    n = len(letters)
+def _neighbors(ctx: _Ctx, w: tuple[int, ...]) -> Iterator[tuple[str, list[int]]]:
+    kind, cls, exp, comm, twist = ctx.kind, ctx.cls, ctx.exp, ctx.comm, ctx.twist
+    ids = [cls[g] for g in w]
+    n = len(w)
     for j in range(n):
-        y = letters[j]
-        if not isinstance(y, Twist):
+        if kind[w[j]] != TWIST:
             continue
+        b = ids[j]
         for i in range(j):
-            x = letters[i]
-            if not isinstance(x, Twist):
+            a = ids[i]
+            # twists meet once exactly when they do not commute
+            if kind[w[i]] != TWIST or comm[(a, b)]:
                 continue
-            if model.intersection(x.label, y.label) != 1:
-                continue
-            a, b = x.label, y.label
             for k in range(j + 1, n):
-                z = letters[k]
-                if not isinstance(z, Twist) or z.label != a:
+                if ids[k] != a:  # a twist about the same curve as letter i
                     continue
-                if not _movable(ctx, letters, (i, k), j, (a, b)):
+                if not all(comm[(ids[p], a)] and comm[(ids[p], b)] for p in range(i + 1, k) if p != j):
                     continue
-                s, t = x.exp, y.exp
-                out = list(letters)
-                if z.exp == -s:
+                s, t, u = exp[w[i]], exp[w[j]], exp[w[k]]
+                out = list(w)
+                if u == -s:
                     # A^s B^t A^-s = B^-s A^t B^s
-                    out[i], out[j], out[k] = Twist(b, -s), Twist(a, t), Twist(b, s)
+                    out[i], out[j], out[k] = twist[(b, -s)], twist[(a, t)], twist[(b, s)]
                     yield (f"transport@{i}", out)
-                elif z.exp == s and t == s:
-                    out[i], out[j], out[k] = Twist(b, s), Twist(a, s), Twist(b, s)
+                elif u == s and t == s:
+                    out[i], out[j], out[k] = twist[(b, s)], twist[(a, s)], twist[(b, s)]
                     yield (f"braid@{i}", out)
-    if model.kind != "sn":
+    if ctx.model.kind != "sn":
         return
     for i in range(n):
-        g = letters[i]
-        if not isinstance(g, Shift):
+        g = w[i]
+        if kind[g] != SHIFT:
             continue
+        h = ids[i]
         for k in range(n):
-            if k == i:
+            t = w[k]
+            if k == i or kind[t] != TWIST or comm[(h, ids[k])]:
                 continue
-            t = letters[k]
-            if not isinstance(t, Twist) or ctx.commutes(g, t):
-                continue
+            c = ids[k]
             lo, hi = (i, k) if i < k else (k, i)
-            clear = all(
-                ctx.commutes(letters[p], g) and ctx.commutes(letters[p], t)
-                for p in range(lo + 1, hi)
-            )
-            if not clear:
+            if not all(comm[(ids[p], h)] and comm[(ids[p], c)] for p in range(lo + 1, hi)):
                 continue
+            img = ctx.shifted[(g, t, 1 if i < k else -1)]
+            if img < 0:
+                continue
+            out = list(w)
             if i < k:
-                img = shift_relabel(model, g.label, g.exp, t.label)
-                if img is None:
-                    continue
-                out = list(letters)
-                out[i], out[k] = Twist(img, t.exp), g
+                out[i], out[k] = img, g
                 yield (f"shift-right@{i}", out)
             else:
-                img = shift_relabel(model, g.label, -g.exp, t.label)
-                if img is None:
-                    continue
-                out = list(letters)
-                out[k], out[i] = g, Twist(img, t.exp)
+                out[k], out[i] = g, img
                 yield (f"shift-left@{i}", out)
 
 
 def _search(
-    model: SurfaceModel,
-    start: tuple[Letter, ...],
+    ctx: _Ctx,
+    start: tuple[int, ...],
     budget: Budget,
     stop_at_empty: bool,
-) -> tuple[tuple[Letter, ...], tuple[str, ...]]:
+) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Best-first search over canonical forms. Returns the best form reached
     (the empty word if stop_at_empty succeeded) and the move trace to it."""
-    ctx = _ctx(model)
+    keys = ctx.keys
     counter = itertools.count()
-    seen: dict[tuple[Letter, ...], tuple | None] = {start: None}
+    seen: dict[tuple[int, ...], tuple | None] = {start: None}
     best = start
-    best_rank = (len(start), tuple(ctx.key(g) for g in start))
+    best_rank = (len(start), tuple(keys[g] for g in start))
     heap = [(len(start), next(counter), start)]
     while heap:
         _, _, cur = heapq.heappop(heap)
-        for desc, raw in _neighbors(model, cur):
+        for desc, raw in _neighbors(ctx, cur):
             budget.spend()
-            new = canonical(model, raw, budget)
+            new = _canonical(ctx, raw, budget)
             if new in seen:
                 continue
             seen[new] = (cur, desc)
-            rank = (len(new), tuple(ctx.key(g) for g in new))
-            if rank < best_rank:
-                best, best_rank = new, rank
+            if len(new) <= best_rank[0]:
+                rank = (len(new), tuple(keys[g] for g in new))
+                if rank < best_rank:
+                    best, best_rank = new, rank
             if stop_at_empty and not new:
                 return new, _trace(seen, new)
             heapq.heappush(heap, (len(new), next(counter), new))
@@ -387,10 +432,12 @@ def _decide(
     """Commutation-canonical form, then the braid search from it. Returns
     the form reached and its move trace; a word that the canonical form
     already empties has the trace ``("canonical",)``."""
-    start = canonical(model, letters, budget)
+    ctx = _ctx(model)
+    start = _canonical(ctx, [ctx.num[g] for g in letters], budget)
     if not start:
-        return start, ("canonical",)
-    return _search(model, start, budget, stop_at_empty)
+        return (), ("canonical",)
+    form, trace = _search(ctx, start, budget, stop_at_empty)
+    return tuple(ctx.letters[g] for g in form), trace
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,47 @@ def test_non_integer_budget_env_exit_two(monkeypatch, capsys):
     assert "MCG_BUDGET" in capsys.readouterr().err
 
 
+def test_budget_order_flag_env_script_default(tmp_path, monkeypatch):
+    # --budget, then MCG_BUDGET, then the script's BUDGET line, then 100000
+    lined = tmp_path / "lined.mcg"
+    lined.write_text("MODEL jacob\nBUDGET 5\nASSERT_EQ A[1] = A[1]\n")
+    plain = tmp_path / "plain.mcg"
+    plain.write_text("MODEL jacob\nASSERT_EQ A[1] = A[1]\n")
+    out = tmp_path / "r.json"
+    monkeypatch.delenv("MCG_BUDGET", raising=False)
+
+    def budgets(*flags):
+        assert main(["verify", str(lined), str(plain), "--format", "json", "--out", str(out), *flags]) == 0
+        return [r["budget"] for r in json.loads(out.read_text())["scripts"]]
+
+    assert budgets() == [5, 100_000]
+    monkeypatch.setenv("MCG_BUDGET", "9")
+    assert budgets() == [9, 9]
+    assert budgets("--budget", "7") == [7, 7]
+
+
+@pytest.mark.parametrize("argv", [["verify", "thmC"], ["normalize", "A[1]", "--model", "jacob"]])
+def test_negative_budget_flag_exit_two(monkeypatch, capsys, argv):
+    monkeypatch.delenv("MCG_BUDGET", raising=False)
+    assert main([*argv, "--budget", "-1"]) == 2
+    assert "--budget -1: a budget cannot be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "thmC"], ["normalize", "A[1]", "--model", "jacob"]])
+def test_negative_budget_env_exit_two(monkeypatch, capsys, argv):
+    monkeypatch.setenv("MCG_BUDGET", "-1")
+    assert main(argv) == 2
+    assert "MCG_BUDGET='-1': a budget cannot be negative" in capsys.readouterr().err
+
+
+def test_zero_budget_is_a_starved_run(monkeypatch, capsys):
+    monkeypatch.delenv("MCG_BUDGET", raising=False)
+    assert main(["verify", "thmC", "--budget", "0"]) == 1
+    assert "Unknown" in capsys.readouterr().out
+    assert main(["normalize", "A[1] A~[1]", "--model", "jacob", "--budget", "0"]) == 1
+    assert "budget exhausted" in capsys.readouterr().err
+
+
 def test_selfcheck_window_one_exit_two(capsys):
     assert main(["selfcheck", "--window", "1"]) == 2
     assert "window" in capsys.readouterr().err

@@ -1,5 +1,8 @@
-import pytest
+import json
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 import mcg.replay
 from mcg.errors import McgError, WindowTooSmall
@@ -137,3 +140,37 @@ def test_goalset_reports_source_of_each_goal():
     goal = next(s for s in rep.statements if s.kind == "Goalset")
     assert goal.ok
     assert "<=" in goal.witness
+
+
+def test_script_budget_line_applies_unless_overridden():
+    text = "MODEL jacob\nBUDGET {}\nASSERT_EQ A[1] = A[1]\n"
+    assert replay(parse(text.format(0))).budget == 0
+    assert replay(parse(text.format(5))).budget == 5
+    assert replay(parse(text.format(5)), budget=7).budget == 7
+    assert replay(parse("MODEL jacob\nASSERT_EQ A[1] = A[1]\n")).budget == 100_000
+
+
+GOLDEN_DEFAULT_JSON = Path(__file__).parent / "data" / "verify-default.json"
+
+
+def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
+    # over the six default replays, goal-set matching made 949 oracle-free
+    # engine calls while it tried every proved word, repeats and words with
+    # another symmetry part included; its witnesses must not change
+    calls = []
+    real = mcg.replay.equivalent
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("oracles", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcg.replay, "equivalent", counting)
+    witnesses = []
+    for name in ("thmA", "thmB", "thmC", "thmD"):
+        script = load(name)
+        for n in script.param.defaults if script.kind == "sn" else (None,):
+            rep = replay(script, n=n)
+            witnesses += [s.witness for s in rep.statements if s.kind == "Goalset"]
+    assert calls.count(False) <= 211
+    golden = json.loads(GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8"))
+    assert witnesses == [s["witness"] for r in golden["scripts"] for s in r["statements"] if s["kind"] == "Goalset"]
