@@ -24,10 +24,6 @@ class OutOfWindow(McgError):
     """A homology computation referenced a class outside the truncation window."""
 
 
-class NotAnInvolution(McgError):
-    """The conjugating element of an involution check does not square to 1."""
-
-
 class WindowTooSmall(McgError):
     """The truncation window is below the displacement bound of a word."""
 

@@ -138,6 +138,8 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
                 n = 1
             elif n is None:
                 raise ModelFileError("sn model requires the n parameter", path, lineno)
+            elif n < 3:
+                raise ModelFileError(f"sn model needs n >= 3, got {n}", path, lineno)
         elif head == "adj":
             if kind is None:
                 raise ModelFileError("adj before kind", path, lineno)
@@ -150,7 +152,7 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
                 if a is not None and a.kind != b.kind:  # type: ignore[union-attr]
                     msg = f"{rest!r}: the {index} index must be a variable on both sides or a constant on both"
                     raise ModelFileError(msg, *where)
-            rules.append(AdjacencyRule(left, right, text=line))
+            rules.append(AdjacencyRule(left, right))
         elif head == "sym":
             if kind is None:
                 raise ModelFileError("sym before kind", path, lineno)
@@ -192,7 +194,7 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
     if kind is None:
         raise ModelFileError("missing kind line", path, 1)
     assert n is not None
-    return SurfaceModel(kind, n, tuple(rules), symmetries, aliases, name=path)
+    return SurfaceModel(kind, n, tuple(rules), symmetries, aliases)
 
 
 def parse_model_file(path: str, n: int | None = None) -> SurfaceModel:

@@ -78,7 +78,6 @@ class AdjacencyRule:
 
     left: LabelPattern
     right: LabelPattern
-    text: str = ""
 
     def partner(self, model: "SurfaceModel", c: CurveLabel) -> CurveLabel | None:
         """If ``c`` matches the left pattern, return the right-hand curve."""
@@ -239,11 +238,8 @@ class SurfaceModel:
     symmetries: dict[str, SymmetrySpec]
     aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)
     removed: frozenset[frozenset[CurveLabel]] = field(default_factory=frozenset)
-    name: str = ""
 
     def __post_init__(self):
-        if self.kind == "sn" and self.n < 3:
-            raise McgError(f"sn model needs n >= 3, got {self.n}")
         # neighbour and symmetry-word memos: idempotent values, filled on
         # first use; the model is otherwise immutable
         object.__setattr__(self, "_ncache", {})

@@ -6,8 +6,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import McgError, NotAnInvolution, UndefinedSymmetry, WindowTooSmall
-from .homology import HomologyResult, _support_bound, verify_identity_homology
+from .errors import McgError, UndefinedSymmetry, WindowTooSmall
+from .homology import _support_bound
 from .modelfile import load_model
 from .models import Automorphism, SurfaceModel
 from .permgroup import Permutation, project
@@ -33,7 +33,7 @@ from .script import (
     SLet,
     eval_word,
 )
-from .words import Sym, Word, empty_word, invert
+from .words import Word
 
 
 @dataclass
@@ -42,7 +42,7 @@ class StatementResult:
     line: int
     kind: str
     statement: str
-    verdict: str  # ProvedEqual / ProvedDistinct / Unknown / Yes / No / ok / error
+    verdict: str  # ProvedEqual / ProvedDistinct / Unknown / Yes / No / bound / ok / error
     ok: bool
     oracle: str = ""  # homology cross-check, when one ran
     budget_used: int = 0
@@ -173,8 +173,7 @@ def replay(
                 right = eval_word(stmt.right, ctx)
                 _check_window(left, window), _check_window(right, window)
                 v = equivalent(left, right, budget, window)
-                hom = _oracle(v, left, right, window)
-                _judge(res, v, hom, getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ())))
+                _judge(res, v, getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ())))
                 if res.ok:
                     # both sides are proved equal; the right side is the
                     # compact display form, keep that one
@@ -182,18 +181,8 @@ def replay(
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
                 _check_window(w, window)
-                k = 0
-                while k < len(w.letters) and isinstance(w.letters[k], Sym):
-                    k += 1
-                if 0 < k < len(w.letters):
-                    rho = Word(model, w.letters[:k])
-                    x = Word(model, w.letters[k:])
-                    v = check_involution(rho, x, budget, window)
-                    hom = _oracle(v, rho * x * rho, invert(x), window)
-                else:
-                    v = equivalent(w * w, empty_word(model), budget, window)
-                    hom = _oracle(v, w * w, empty_word(model), window)
-                _judge(res, v, hom, getattr(v, "witness", ""))
+                v = check_involution(w, budget, window)
+                _judge(res, v, getattr(v, "witness", ""))
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
             elif isinstance(stmt, SAssertProjection):
@@ -219,10 +208,8 @@ def replay(
                 res.witness = "; ".join(hits if not misses else ["missing: " + ", ".join(misses)])
             else:
                 raise McgError(f"unhandled statement {stmt!r}")
-        except NotAnInvolution as e:
-            res.verdict, res.ok, res.witness = "NotAnInvolution", False, str(e)
-        except WindowTooSmall:
-            raise
+        except WindowTooSmall as e:
+            raise WindowTooSmall(f"{script.path}, line {stmt.line}: {e}") from None
         except McgError as e:
             res.verdict, res.ok, res.witness = "error", False, str(e)
         res.wall_ms = (time.perf_counter() - t0) * 1000
@@ -231,16 +218,11 @@ def replay(
     return report
 
 
-def _oracle(v: Verdict, w1: Word, w2: Word, window: int) -> HomologyResult:
-    """The homology cross-check of w1 = w2; ``v`` is the engine's verdict on
-    the same words, which carries it when the engine already ran it."""
-    hom = getattr(v, "homology", None)
-    return hom if hom is not None else verify_identity_homology(w1, w2, window)
-
-
-def _judge(res: StatementResult, v: Verdict, hom: HomologyResult, witness: str) -> None:
-    """Verdict an identity: proved by the engine and not refuted by homology.
-    A proof that homology refutes is an oracle conflict, named in the witness."""
+def _judge(res: StatementResult, v: Verdict, witness: str) -> None:
+    """Verdict an identity: proved by the engine and not refuted by the
+    homology result the verdict carries. A proof that homology refutes is an
+    oracle conflict, named in the witness."""
+    hom = v.homology
     res.verdict = v.kind
     res.oracle = str(hom)
     res.budget_used = getattr(v, "budget_used", 0)
@@ -253,8 +235,12 @@ def _judge(res: StatementResult, v: Verdict, hom: HomologyResult, witness: str) 
 def _check_window(w: Word, window: int) -> None:
     top, disp = _support_bound((w,))
     if top + disp > window:
+        text = str(w)
+        if len(text) > 60:
+            text = text[:57] + "..."
         raise WindowTooSmall(
-            f"window {window} is below the displacement bound {top + disp} of {w}"
+            f"window {window} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
+            f" it needs a window of at least {top + disp}"
         )
 
 

@@ -29,7 +29,6 @@ _VERDICT_COLORS = {
     "ProvedDistinct": "#b3262a",
     "No": "#e0604a",
     "error": "#6a1b9a",
-    "NotAnInvolution": "#d0418e",
 }
 
 

@@ -28,9 +28,12 @@ Steps 2 and 3 run on letter numbers (see ``_Ctx``): the trace normal form
 needs only each letter's inverse, commutation class and sort key, so it
 works on small ints. No order depends on the numbers, only on sort keys.
 
-Failure to normalize is not a proof of distinctness: the decision wrapper
-escalates to the homology and end-permutation oracles, whose disagreement is
-a certificate, and otherwise reports Unknown.
+Failure to normalize is not a proof of distinctness. The decision wrapper
+runs the homology oracle once per pair, whatever the engine found, and
+every verdict carries its result; when normalization fails, a disagreement
+of the homology or end-permutation oracle is a certificate, and otherwise
+the verdict is Unknown. An involution ``r x`` (r the leading symmetry
+letters) is the identity ``r x r = x~`` on the same path.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import BudgetExhausted, ModelMismatch, NotAnInvolution, UndefinedSymmetry
+from .errors import BudgetExhausted, ModelMismatch, UndefinedSymmetry
+from .homology import HomologyResult, verify_identity_homology
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
-from .words import Letter, Shift, Sym, Twist, Word, empty_word, invert, invert_letter
-
-if TYPE_CHECKING:
-    from .homology import HomologyResult
+from .permgroup import project
+from .words import Letter, Shift, Sym, Twist, Word, invert, invert_letter
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_WINDOW = 40
@@ -74,6 +76,7 @@ class ProvedEqual:
     kind = "ProvedEqual"
     trace: tuple[str, ...]
     budget_used: int
+    homology: HomologyResult | None = None  # the oracle's result, when it ran
 
 
 @dataclass(frozen=True)
@@ -484,19 +487,22 @@ def equivalent(
     oracles: bool = True,
 ) -> Verdict:
     """Decide w1 = w2: ProvedEqual via normalization of w1 w2^-1 to the empty
-    word, ProvedDistinct via an oracle disagreement, else Unknown."""
+    word, ProvedDistinct via an oracle disagreement, else Unknown. With
+    ``oracles`` the homology oracle runs once, whatever the engine found,
+    and every verdict carries its result."""
     if w1.model is not w2.model:
         raise ModelMismatch("words over different models")
     model = w1.model
     w = w1 * invert(w2)
     b = Budget(budget)
+    trace: tuple[str, ...] | None = None  # the proof, when the engine found one
     reason = "not reduced to the empty word"
     try:
         core, aut, _tail = split_symmetries(w)
         if aut.is_identity():
-            form, trace = _decide(model, core, b, stop_at_empty=True)
+            form, found = _decide(model, core, b, stop_at_empty=True)
             if not form:
-                return ProvedEqual(trace, b.spent)
+                trace = found
         else:
             reason = "symmetry parts differ as label automorphisms"
     except UndefinedSymmetry:
@@ -504,36 +510,26 @@ def equivalent(
     except BudgetExhausted:
         reason = "budget exhausted"
 
+    hom = verify_identity_homology(w1, w2, window) if oracles else None
+    if trace is not None:
+        return ProvedEqual(trace, b.spent, hom)
     if not oracles:
         return Unknown(reason, b.spent)
-
-    from .homology import verify_identity_homology
-    from .permgroup import project
-
     p1, p2 = project(w1), project(w2)
     if p1 != p2:
         e = next(e for e in range(1, model.n + 1) if p1(e) != p2(e))
-        return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}")
-    hom = verify_identity_homology(w1, w2, window)
+        return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}", hom)
     if hom.status == "Refuted":
         return ProvedDistinct("homology", hom.witness, hom)
     return Unknown(reason, b.spent, hom)
 
 
-def check_involution(
-    rho: Word,
-    x: Word,
-    budget: int = DEFAULT_BUDGET,
-    window: int = DEFAULT_WINDOW,
-) -> Verdict:
-    """Certify that (rho x)^2 = 1 given rho^2 = 1.
-
-    With rho an involution, rho x rho = x^-1 is exactly the statement that
-    rho x has order two.
+def check_involution(w: Word, budget: int = DEFAULT_BUDGET, window: int = DEFAULT_WINDOW) -> Verdict:
+    """Decide that ``w`` squares to 1 as ``r x r = x~``, where r is the
+    leading run of symmetry letters of ``w`` and x the rest; either may be
+    empty. In any group r x r = x^-1 exactly when (r x)^2 = 1, so r need not
+    be an involution itself. The difference word is ``w w``.
     """
-    if rho.model is not x.model:
-        raise ModelMismatch("words over different models")
-    rr = equivalent(rho * rho, empty_word(rho.model), budget, window)
-    if rr.kind != "ProvedEqual":
-        raise NotAnInvolution(f"conjugator squared is not provably trivial: {rr.kind}")
-    return equivalent(rho * x * rho, invert(x), budget, window)
+    k = next((i for i, g in enumerate(w.letters) if not isinstance(g, Sym)), len(w.letters))
+    r, x = Word(w.model, w.letters[:k]), Word(w.model, w.letters[k:])
+    return equivalent(r * x * r, invert(x), budget, window)

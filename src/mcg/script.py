@@ -216,7 +216,6 @@ class SAssertEq:
     line: int
     left: WordExpr
     right: WordExpr
-    note: str = ""
 
     def text(self) -> str:
         return f"ASSERT_EQ {self.left.text()} = {self.right.text()}"

@@ -34,7 +34,17 @@ def test_verify_missing_script_exit_two(capsys):
 
 def test_verify_window_too_small_exit_two(capsys):
     assert main(["verify", "thmA", "--n", "17", "--window", "4"]) == 2
-    assert "displacement" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "displacement" in err
+    # the script and line that failed, and the word cut short
+    assert "thmA.mcg" in err and "line" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_sn_model_with_too_few_ends_blames_n(capsys, n):
+    assert main(["project", "A[1]", "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert f"sn model needs n >= 3, got {n}" in err and "(1 2)" not in err
 
 
 def test_corrupt_script_reports_position(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import ast
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcg
 from mcg.errors import UndefinedSymmetry
 from mcg.homology import (
     HomologyResult,
@@ -343,3 +346,29 @@ def test_symmetry_without_label_action_is_inconclusive(sn17):
     assert str(res) == f"Inconclusive(0/0 columns) [{exc.value}]"
     with pytest.raises(UndefinedSymmetry, match=re.escape(str(exc.value))):
         word_matrix(TruncatedBasis(sn17, 3), w)
+
+
+ENGINE_MODULES = {"rewrite", "replay", "script", "sweeps", "cli"}
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Last dotted part of every module a source file imports, ``from . import
+    x`` naming x."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rsplit(".", 1)[-1])
+            else:
+                out |= {a.name for a in node.names}
+    return out
+
+
+@pytest.mark.parametrize("module", ["homology", "permgroup"])
+def test_oracles_import_nothing_from_the_engine(module):
+    # the engine calls the oracles; an oracle that reached back into the
+    # engine could no longer check it independently
+    path = Path(mcg.__file__).parent / f"{module}.py"
+    assert not _imported_modules(path) & ENGINE_MODULES

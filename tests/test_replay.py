@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import mcg.replay
+import mcg.rewrite
 from mcg.errors import McgError, WindowTooSmall
 from mcg.homology import HomologyResult
 from mcg.replay import replay
@@ -56,19 +57,16 @@ def test_perturbed_formula_fails_with_homology_witness():
 
 
 def test_oracle_runs_once_per_statement(monkeypatch):
-    # a refuted identity runs the oracle inside the engine's decision; replay
-    # reuses that result instead of running it again
-    import mcg.homology
-
+    # the engine's decision runs the oracle and its verdict carries the
+    # result; replay runs it nowhere else
     calls = []
-    real = mcg.homology.verify_identity_homology
+    real = mcg.rewrite.verify_identity_homology
 
     def counting(w1, w2, window):
         calls.append((w1, w2))
         return real(w1, w2, window)
 
-    monkeypatch.setattr(mcg.homology, "verify_identity_homology", counting)
-    monkeypatch.setattr(mcg.replay, "verify_identity_homology", counting)
+    monkeypatch.setattr(mcg.rewrite, "verify_identity_homology", counting)
     text = resources.files("mcg.data.scripts").joinpath("thmA.mcg").read_text()
     bad = text.replace("ASSERT_EQ F2 = A[3] C[3] B[6]", "ASSERT_EQ F2 = A[3] C[3] B[7]")
     rep = replay(parse(bad, "thmA-perturbed"), n=17)
@@ -87,7 +85,7 @@ def test_refuted_involution_is_an_oracle_conflict(monkeypatch):
     proved = involution(replay(load("thmC")))
     assert (proved.verdict, proved.ok, proved.witness) == ("ProvedEqual", True, "")
     forged = HomologyResult("Refuted", "forged witness", 1, 1)
-    monkeypatch.setattr(mcg.replay, "verify_identity_homology", lambda *args: forged)
+    monkeypatch.setattr(mcg.rewrite, "verify_identity_homology", lambda *args: forged)
     conflict = involution(replay(load("thmC")))
     assert (conflict.verdict, conflict.ok) == ("ProvedEqual", False)
     assert conflict.witness == "ORACLE CONFLICT: forged witness"
@@ -174,3 +172,19 @@ def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
     assert calls.count(False) <= 211
     golden = json.loads(GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8"))
     assert witnesses == [s["witness"] for r in golden["scripts"] for s in r["statements"] if s["kind"] == "Goalset"]
+
+
+def test_involution_needs_no_involutive_prefix():
+    # CONJ(rho1, R A[1]) spells R A[1] rho1 A~[1] R~, an involution whose
+    # leading symmetry letter R is none; it is decided as r x r = x~ all the
+    # same, and R A[1], which moves the ends, is refuted
+    text = (
+        f"MODEL sn\nPARAM n DEFAULT 17\nCONVENTIONS {CONVENTIONS_ID}\n"
+        "ASSERT_INVOLUTION CONJ(rho1, R A[1])\n"
+        "ASSERT_INVOLUTION R A[1] rho1 A~[1] R~\n"
+        "ASSERT_INVOLUTION R A[1]\n"
+    )
+    conj, spelled, rotation = replay(parse(text, "involutions.mcg")).statements
+    assert (conj.verdict, conj.ok) == (spelled.verdict, spelled.ok) == ("ProvedEqual", True)
+    assert (rotation.verdict, rotation.ok) == ("ProvedDistinct", False)
+    assert rotation.witness == "end 1 maps to 3 vs 1"
