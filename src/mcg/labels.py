@@ -21,11 +21,15 @@ Handle shifts on ``sn`` are labelled by an ordered pair of distinct ends
 two-ended and one-ended models have a single distinguished shift, which the
 engine treats as a defined product of the primitive involutions rather than a
 generator in its own right.
+
+Both label types are immutable tuples (``typing.NamedTuple``): construction,
+hashing, equality and ordering run in C, and a label hashes as its field
+tuple. The code compares a label only with labels of its own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FAMILIES = ("A", "Ap", "B", "C")
 FAMILY_RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -42,8 +46,7 @@ def family_parse(text: str) -> str | None:
     return _PARSE.get(text)
 
 
-@dataclass(frozen=True, order=True)
-class CurveLabel:
+class CurveLabel(NamedTuple):
     """A named simple closed curve.
 
     ``index`` is the genus index on ``sn`` models and the internal chain
@@ -61,8 +64,7 @@ class CurveLabel:
         return f"{_PRINT[self.family]}[{self.index},{self.end}]"
 
 
-@dataclass(frozen=True, order=True)
-class ShiftLabel:
+class ShiftLabel(NamedTuple):
     """A handle shift between two distinct ends of an ``sn`` model.
 
     Stored with ``from_end < to_end``; a shift written with the ends the

@@ -34,7 +34,7 @@ derived from the end map rather than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidLabel, McgError, UndefinedSymmetry
 from .labels import FAMILIES, CurveLabel, ShiftLabel
@@ -123,15 +123,14 @@ class SymmetrySpec:
     perm: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(NamedTuple):
     """The label action of a product of affine symmetries.
 
     Composition is closed: the end (or chain) maps stay affine with
     ``u = +-1`` and the family exchanges accumulate modulo 2. Models whose
     label action is declared here represent their symmetry subgroups
     faithfully, so a product acting as the identity on every label *is* the
-    identity mapping class.
+    identity mapping class. An immutable tuple, like the labels it acts on.
     """
 
     kind: str  # model kind

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from .errors import InvalidLabel, ParseError, Redefinition, UndefinedName
 from .labels import family_parse, family_print
 from .models import SurfaceModel
@@ -343,13 +344,13 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<sym>[\[\](){},;=~^+\-*/])
       | (?P<ws>\s+)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -367,16 +368,16 @@ def _decimal(text: str, line: int, col: int) -> int:
 
 def _tokenize(text: str, line: int, col0: int = 0) -> list[Token]:
     out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col0 + pos + 1)
-        if m.lastgroup == "int":
-            _decimal(m.group(), line, col0 + pos + 1)  # later int() calls on the token are safe
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), line, col0 + pos + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        value, col = m.group(), col0 + m.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        if kind == "int":
+            _decimal(value, line, col)  # later int() calls on the token are safe
+        out.append(Token(kind, value, line, col))
     return out
 
 

@@ -166,12 +166,12 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
     for c in model.labels_in_window(window):
         cls = basis.class_of(c)
         mates = sorted({k for key in cls for k in (key, _mate(key))})
-        for x in mates:
-            for y in mates:
+        units = [{x: 1} for x in mates]
+        images = [_twist_apply(u, cls, 1) for u in units]
+        for x, ux, mx in zip(mates, units, images):
+            for y, uy, my in zip(mates, units, images):
                 checked += 1
-                mx = _twist_apply({x: 1}, cls, 1)
-                my = _twist_apply({y: 1}, cls, 1)
-                if pairing(mx, my) != pairing({x: 1}, {y: 1}):
+                if pairing(mx, my) != pairing(ux, uy):
                     issues.append(f"twist about {c} breaks the pairing at ({x},{y})")
                     break
 

@@ -5,32 +5,34 @@ functions with the rightmost factor applied first. The inverse of X is
 written X~ in the literal syntax. Twist and shift letters carry exponent
 +-1 (higher powers are spelled out); symmetry letters carry arbitrary
 nonzero exponents since their powers collapse into one automorphism anyway.
+
+Letters are immutable tuples (``typing.NamedTuple``) that hash as their
+field tuples. The code compares a letter only with letters of its own type;
+letters of different types never compare equal, since their labels differ
+(a curve label, a shift label, a symmetry name).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import ModelMismatch
 from .labels import CurveLabel, ShiftLabel
 from .models import SurfaceModel
 
 
-@dataclass(frozen=True, order=True)
-class Twist:
+class Twist(NamedTuple):
     label: CurveLabel
     exp: int  # +1 right-handed, -1 its inverse
 
 
-@dataclass(frozen=True, order=True)
-class Shift:
+class Shift(NamedTuple):
     label: ShiftLabel
     exp: int
 
 
-@dataclass(frozen=True, order=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
     exp: int
 

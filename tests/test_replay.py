@@ -188,3 +188,15 @@ def test_involution_needs_no_involutive_prefix():
     assert (conj.verdict, conj.ok) == (spelled.verdict, spelled.ok) == ("ProvedEqual", True)
     assert (rotation.verdict, rotation.ok) == ("ProvedDistinct", False)
     assert rotation.witness == "end 1 maps to 3 vs 1"
+
+
+def test_rows_are_uniform_in_n():
+    # the derivations do not depend on n past the scripts' minimum: each
+    # script, parsed once, gives the same rows at the default n and far above
+    for name, ns in (("thmA", (17, 21, 33, 69)), ("thmB", (16, 20, 32, 68))):
+        script = load(name)
+        rows = {
+            n: [(s.kind, s.verdict, s.budget_used, s.witness) for s in replay(script, n=n).statements] for n in ns
+        }
+        assert all(rows[n] == rows[ns[0]] for n in ns), name
+        assert all(verdict not in ("Unknown", "error") for _, verdict, _, _ in rows[ns[0]])

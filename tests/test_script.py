@@ -117,3 +117,23 @@ def test_budget_and_param_header_lines():
     assert s.budget == 5000
     assert s.param.defaults == (17, 19)
     assert s.default_n() == 17
+
+
+def test_unexpected_character_is_positioned():
+    # columns count from 1 on the whole line, LET head and binding included
+    for stmt, col in (("LET w = A[1] $ B[1]", 14), ("ASSERT_EQ A[1] = B[1] $", 23)):
+        with pytest.raises(ParseError) as err:
+            parse(HEADER + stmt + "\n")
+        assert (err.value.line, err.value.column) == (4, col)
+        assert "unexpected character '$'" in str(err.value)
+
+
+def test_overlong_decimal_is_positioned():
+    for stmt, col in (
+        ("LET w = A[1," + "9" * 4301 + "]", 13),
+        ("ASSERT_PROJECTION R = (1 " + "9" * 4400 + ")", 26),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(HEADER + stmt + "\n")
+        assert (err.value.line, err.value.column) == (4, col)
+        assert "-digit number is too long to read" in str(err.value)
