@@ -173,7 +173,7 @@ def replay(
                 right = eval_word(stmt.right, ctx)
                 _check_window(left, window), _check_window(right, window)
                 v = equivalent(left, right, budget, window)
-                _judge(res, v, getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ())))
+                _judge(res, v)
                 if res.ok:
                     # both sides are proved equal; the right side is the
                     # compact display form, keep that one
@@ -182,7 +182,7 @@ def replay(
                 w = eval_word(stmt.expr, ctx)
                 _check_window(w, window)
                 v = check_involution(w, budget, window)
-                _judge(res, v, getattr(v, "witness", ""))
+                _judge(res, v)
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
             elif isinstance(stmt, SAssertProjection):
@@ -218,18 +218,26 @@ def replay(
     return report
 
 
-def _judge(res: StatementResult, v: Verdict, witness: str) -> None:
-    """Verdict an identity: proved by the engine and not refuted by the
-    homology result the verdict carries. A proof that homology refutes is an
-    oracle conflict, named in the witness."""
+def _witness(v: Verdict) -> str:
+    """What a verdict shows: the separating witness of a refutation, or the
+    rewrite trace of a proof (empty for Unknown)."""
+    return getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ()))
+
+
+def _judge(res: StatementResult, v: Verdict) -> None:
+    """Verdict an identity (``ASSERT_EQ`` or ``ASSERT_INVOLUTION``): proved
+    by the engine and not refuted by the homology result the verdict
+    carries. A proof that homology refutes is an oracle conflict, named in
+    the witness."""
     hom = v.homology
     res.verdict = v.kind
     res.oracle = str(hom)
     res.budget_used = getattr(v, "budget_used", 0)
     res.ok = v.kind == "ProvedEqual" and hom.status != "Refuted"
     if v.kind == "ProvedEqual" and hom.status == "Refuted":
-        witness = f"ORACLE CONFLICT: {hom.witness}"
-    res.witness = witness
+        res.witness = f"ORACLE CONFLICT: {hom.witness}"
+    else:
+        res.witness = _witness(v)
 
 
 def _check_window(w: Word, window: int) -> None:

@@ -77,13 +77,13 @@ def test_oracle_runs_once_per_statement(monkeypatch):
 
 
 def test_refuted_involution_is_an_oracle_conflict(monkeypatch):
-    # an involution the engine proves but homology refutes must fail and
-    # name the conflict, as ASSERT_EQ does
+    # an involution the engine proves shows its rewrite trace, and one that
+    # homology refutes must fail and name the conflict, as ASSERT_EQ does
     def involution(rep):
         return next(s for s in rep.statements if s.kind == "AssertInvolution")
 
     proved = involution(replay(load("thmC")))
-    assert (proved.verdict, proved.ok, proved.witness) == ("ProvedEqual", True, "")
+    assert (proved.verdict, proved.ok, proved.witness) == ("ProvedEqual", True, "canonical")
     forged = HomologyResult("Refuted", "forged witness", 1, 1)
     monkeypatch.setattr(mcg.rewrite, "verify_identity_homology", lambda *args: forged)
     conflict = involution(replay(load("thmC")))
