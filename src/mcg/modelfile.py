@@ -6,14 +6,19 @@ system, and the primitive symmetries. Adjacency rules are pattern based::
     adj C[i,j] B[i+1,j]      # every C meets the next B on its strand
     adj C[0,j] B[1,j+1]      # the genus-0 C closes up around the ends
 
-Symmetries are affine index maps, optionally exchanging A with A'::
+Each index is the variable plus a constant on both sides, or a constant on
+both; a line compiles to one ``models.Adjacency`` record per direction.
+
+Symmetries are affine index maps, optionally exchanging A with A', and
+compile to ``models.Symmetry`` records::
 
     sym R end j -> j+1
     sym rho1 end j -> 2-j swap
     sym tau perm (1 2)
 
-``alias`` lines define named products of primitives (the distinguished
-handle shift of the chain models)::
+``alias`` lines name products of the symmetries and aliases declared above
+them (the distinguished handle shift of the chain models), stored expanded
+to primitive symmetries::
 
     alias H = tau2 tau1
 
@@ -27,11 +32,13 @@ from importlib import resources
 
 from .errors import McgError, ModelFileError
 from .labels import family_parse
-from .models import AdjacencyRule, IndexPattern, LabelPattern, SurfaceModel, SymmetrySpec
+from .models import Adjacency, Automorphism, SurfaceModel, Symmetry
 from .permgroup import Permutation
 
 _LABEL_RE = re.compile(r"^(A'|A|B|C)\[([^\]]*)\]$")
 _NAME_EXP_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(~)?(?:\^(-?\d+))?$")
+_ALIAS_LETTERS = 10_000  # longest alias expansion read
+_Word = tuple[tuple[str, int], ...]  # (symmetry, exponent) letters
 
 
 def _decimal(text: str, where: tuple[str, int]) -> int:
@@ -75,49 +82,57 @@ def _affine(expr: str, n: int | None, var: str, where: tuple[str, int]) -> tuple
     return u, v
 
 
-def _index_pattern(expr: str, var: str, where: tuple[str, int]) -> IndexPattern:
-    u, v = _affine(expr, None, var, where)
-    if u == 0:
-        return IndexPattern("const", v)
-    if u != 1:
-        raise ModelFileError(f"adjacency patterns must use {var} with coefficient 1", *where)
-    return IndexPattern("var", v)
-
-
-def _label_pattern(text: str, kind: str, where: tuple[str, int]) -> LabelPattern:
-    path, line = where
+def _index_maps(text: str, kind: str, where: tuple[str, int]) -> tuple[str, list[tuple[int, int]]]:
+    """The family of one side of an ``adj`` line and its ``(u, v)`` index
+    maps: ``(1, v)`` for the rule variable plus v, ``(0, v)`` for the constant v."""
     m = _LABEL_RE.match(text)
     if not m:
-        raise ModelFileError(f"bad label pattern {text!r}", path, line)
-    fam = family_parse(m.group(1))
+        raise ModelFileError(f"bad label pattern {text!r}", *where)
     parts = [p for p in m.group(2).split(",") if p.strip()]
-    if kind == "sn":
-        if len(parts) != 2:
-            raise ModelFileError(f"{text!r}: sn patterns need [genus,end]", path, line)
-        return LabelPattern(fam, _index_pattern(parts[0], "i", where), _index_pattern(parts[1], "j", where))
-    if len(parts) != 1:
-        raise ModelFileError(f"{text!r}: chain patterns take one index", path, line)
-    return LabelPattern(fam, _index_pattern(parts[0], "k", where), None)
+    variables = ("i", "j") if kind == "sn" else ("k",)
+    if len(parts) != len(variables):
+        shape = "sn patterns need [genus,end]" if kind == "sn" else "chain patterns take one index"
+        raise ModelFileError(f"{text!r}: {shape}", *where)
+    maps = []
+    for part, var in zip(parts, variables):
+        u, v = _affine(part, None, var, where)
+        if u == -1:
+            raise ModelFileError(f"adjacency patterns must use {var} with coefficient 1", *where)
+        maps.append((u, v))
+    return family_parse(m.group(1)), maps  # type: ignore[return-value]
 
 
-def _name_word(text: str, where: tuple[str, int]) -> tuple[tuple[str, int], ...]:
-    out = []
+def _alias_word(name: str, text: str, syms: dict, aliases: dict[str, _Word], where: tuple[str, int]) -> _Word:
+    """The alias ``name = text`` as ``(primitive symmetry, exponent)``
+    letters: ``X^k`` repeats alias X's word k times, ``X~`` reverses and
+    inverts it. Naming only what is declared above keeps aliases acyclic."""
+    out: list[tuple[str, int]] = []
     for tok in text.split():
         m = _NAME_EXP_RE.match(tok)
         if not m:
             raise ModelFileError(f"bad symmetry word token {tok!r}", *where)
-        exp = _decimal(m.group(3), where) if m.group(3) else 1
+        sym, exp = m.group(1), _decimal(m.group(3), where) if m.group(3) else 1
         if m.group(2):
             exp = -exp
-        out.append((m.group(1), exp))
+        if sym in syms:
+            out.append((sym, exp))
+            continue
+        part = aliases.get(sym)
+        if part is None:
+            raise ModelFileError(f"alias {name!r} names {sym!r}, which is not declared above it", *where)
+        if exp < 0:
+            part, exp = tuple((s, -e) for s, e in reversed(part)), -exp
+        if len(out) + len(part) * exp > _ALIAS_LETTERS:
+            raise ModelFileError(f"alias {name!r} expands to more than {_ALIAS_LETTERS} letters", *where)
+        out.extend(part * exp)
     return tuple(out)
 
 
 def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> SurfaceModel:
     kind: str | None = None
-    rules: list[AdjacencyRule] = []
-    symmetries: dict[str, SymmetrySpec] = {}
-    aliases: dict[str, tuple[tuple[str, int], ...]] = {}
+    adjacency: dict[str, list[Adjacency]] = {}
+    symmetries: dict[str, Symmetry] = {}
+    aliases: dict[str, _Word] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         where = (path, lineno)
@@ -146,13 +161,17 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
             parts = rest.split()
             if len(parts) != 2:
                 raise ModelFileError(f"adj wants two label patterns, got {rest!r}", path, lineno)
-            left = _label_pattern(parts[0], kind, where)
-            right = _label_pattern(parts[1], kind, where)
-            for index, a, b in (("genus", left.genus, right.genus), ("end", left.end, right.end)):
-                if a is not None and a.kind != b.kind:  # type: ignore[union-attr]
+            left, lmaps = _index_maps(parts[0], kind, where)
+            right, rmaps = _index_maps(parts[1], kind, where)
+            forward, backward = [], []
+            for index, (ul, vl), (ur, vr) in zip(("genus", "end"), lmaps, rmaps):
+                if ul != ur:
                     msg = f"{rest!r}: the {index} index must be a variable on both sides or a constant on both"
                     raise ModelFileError(msg, *where)
-            rules.append(AdjacencyRule(left, right))
+                forward.append((None, vr - vl) if ul else (vl, vr))
+                backward.append((None, vl - vr) if ul else (vr, vl))
+            adjacency.setdefault(left, []).append(Adjacency(left, right, *forward))
+            adjacency.setdefault(right, []).append(Adjacency(right, left, *backward))
         elif head == "sym":
             if kind is None:
                 raise ModelFileError("sym before kind", path, lineno)
@@ -160,14 +179,14 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
             if not m:
                 raise ModelFileError(f"bad sym line {rest!r}", path, lineno)
             name, sort, spec = m.groups()
-            if name in symmetries:
+            if name in symmetries or name in aliases:
                 raise ModelFileError(f"symmetry {name!r} already declared", path, lineno)
             if sort == "perm":
                 try:
                     perm = Permutation.from_cycles(n, spec)
                 except McgError as e:
                     raise ModelFileError(str(e), path, lineno) from None
-                symmetries[name] = SymmetrySpec(name, "perm", perm=perm.images)
+                symmetries[name] = Symmetry(None, perm.images)
                 continue
             swap = False
             if spec.endswith("swap"):
@@ -182,19 +201,23 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
             u, v = _affine(expr, n, var, where)
             if u == 0:
                 raise ModelFileError(f"index map {expr!r} is not invertible", path, lineno)
-            symmetries[name] = SymmetrySpec(name, "affine", u=u, v=v, swap=swap)
+            action = Automorphism(kind, n, u, v, swap)  # type: ignore[arg-type]
+            symmetries[name] = Symmetry(action, action.end_permutation())
         elif head == "alias":
             mm = re.match(r"^(\w+)\s*=\s*(.+)$", rest)
             if not mm:
                 raise ModelFileError(f"bad alias line {rest!r}", path, lineno)
-            aliases[mm.group(1)] = _name_word(mm.group(2), where)
+            name = mm.group(1)
+            if name in symmetries or name in aliases:
+                raise ModelFileError(f"alias {name!r} already declared", path, lineno)
+            aliases[name] = _alias_word(name, mm.group(2), symmetries, aliases, where)
         else:
             raise ModelFileError(f"unknown directive {head!r}", path, lineno)
 
     if kind is None:
         raise ModelFileError("missing kind line", path, 1)
     assert n is not None
-    return SurfaceModel(kind, n, tuple(rules), symmetries, aliases)
+    return SurfaceModel(kind, n, {f: tuple(r) for f, r in adjacency.items()}, symmetries, aliases)
 
 
 def parse_model_file(path: str, n: int | None = None) -> SurfaceModel:

@@ -1,9 +1,9 @@
 """Surface models: curve label systems, intersection data, symmetry actions.
 
-A model is immutable data: a label system (which families exist, which index
-ranges are legal), a set of pattern-based adjacency rules giving geometric
-intersection numbers in {0, 1}, and the primitive symmetries with their exact
-action on labels.
+A model is immutable data, compiled once from its model file: a label system
+(which families exist, which index ranges are legal), ``Adjacency`` records
+giving geometric intersection numbers in {0, 1}, and a ``Symmetry`` record per
+primitive symmetry, with its exact action on labels and its end permutation.
 
 The three shipped models:
 
@@ -37,90 +37,27 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidLabel, McgError, UndefinedSymmetry
-from .labels import FAMILIES, CurveLabel, ShiftLabel
+from .labels import FAMILIES, CurveLabel, ShiftLabel, family_print
 
 
 # ---------------------------------------------------------------------------
-# adjacency rules
+# model records
 
 
-@dataclass(frozen=True)
-class IndexPattern:
-    """Either an offset from the rule variable ("var", off) or a constant."""
+class Adjacency(NamedTuple):
+    """One direction of an ``adj`` line: a ``family`` curve meets the ``partner``
+    curve at the images of its indices. An index map is ``(None, d)``, index
+    plus d, or ``(a, b)``, a to b; ``end`` is None on chain models."""
 
-    kind: str  # "var" | "const"
-    value: int
-
-    def solve(self, actual: int) -> tuple[bool, int | None]:
-        """(whether this pattern can equal ``actual``, the variable binding
-        that makes it so; a constant binds nothing)."""
-        if self.kind == "const":
-            return actual == self.value, None
-        return True, actual - self.value
-
-    def apply(self, binding: int | None) -> int:
-        if self.kind == "const":
-            return self.value
-        assert binding is not None
-        return binding + self.value
-
-
-@dataclass(frozen=True)
-class LabelPattern:
     family: str
-    genus: IndexPattern
-    end: IndexPattern | None  # None on chain models
+    partner: str
+    genus: tuple[int | None, int]
+    end: tuple[int | None, int] | None = None
 
 
-@dataclass(frozen=True)
-class AdjacencyRule:
-    """``left ~ right``: the two matched curves intersect exactly once."""
-
-    left: LabelPattern
-    right: LabelPattern
-
-    def partner(self, model: "SurfaceModel", c: CurveLabel) -> CurveLabel | None:
-        """If ``c`` matches the left pattern, return the right-hand curve."""
-        pat, other = self.left, self.right
-        if c.family != pat.family:
-            return None
-        matched, gbind = pat.genus.solve(c.index)
-        if not matched:
-            return None
-        ebind = None
-        if pat.end is not None:
-            matched, ebind = pat.end.solve(c.end)  # type: ignore[arg-type]
-            if not matched:
-                return None
-        genus = other.genus.apply(gbind)
-        if pat.end is None:
-            out = CurveLabel(other.family, genus)
-        else:
-            end = model._norm_end(other.end.apply(ebind))  # type: ignore[union-attr]
-            out = CurveLabel(other.family, genus, end)
-        return out if model.is_valid_curve(out) else None
-
-
-# ---------------------------------------------------------------------------
-# symmetries
-
-
-@dataclass(frozen=True)
-class SymmetrySpec:
-    """A primitive symmetry of a model.
-
-    ``affine`` symmetries act on labels through the index map
-    ``x -> u*x + v`` (ends for ``sn``, chain coordinate otherwise), with an
-    optional A/A' family exchange. ``perm`` symmetries carry only an end
-    permutation, the image tuple of all n ends, and admit no label action.
-    """
-
-    name: str
-    kind: str  # "affine" | "perm"
-    u: int = 1
-    v: int = 0
-    swap: bool = False
-    perm: tuple[int, ...] | None = None
+def _step(rule: tuple[int | None, int], x: int) -> int | None:
+    a, b = rule
+    return x + b if a is None else (b if x == a else None)
 
 
 class Automorphism(NamedTuple):
@@ -192,7 +129,17 @@ class Automorphism(NamedTuple):
         return ShiftLabel(q, p), -exp
 
     def end_permutation(self) -> tuple[int, ...]:
+        if self.kind != "sn":  # a chain reflection swaps Jacob's two ends; translations fix them
+            return (2, 1) if self.n == 2 and self.u == -1 else tuple(range(1, self.n + 1))
         return tuple(self._map_end(e) for e in range(1, self.n + 1))
+
+
+class Symmetry(NamedTuple):
+    """A primitive symmetry: its label action (None for a ``perm`` symmetry,
+    which acts on the ends only) and its end permutation as an image tuple."""
+
+    action: Automorphism | None
+    perm: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +180,9 @@ class SurfaceModel:
 
     kind: str  # "sn" | "jacob" | "lochness"
     n: int  # number of ends (sn: >=3, jacob: 2, lochness: 1)
-    rules: tuple[AdjacencyRule, ...]
-    symmetries: dict[str, SymmetrySpec]
-    aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)
+    adjacency: dict[str, tuple[Adjacency, ...]]  # by family: both directions of every adj line
+    symmetries: dict[str, Symmetry]
+    aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)  # (symmetry, exp) words
     removed: frozenset[frozenset[CurveLabel]] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -290,8 +237,6 @@ class SurfaceModel:
         return c.index
 
     def format_curve(self, c: CurveLabel, exp: int = 1) -> str:
-        from .labels import family_print
-
         inv = "~" if exp < 0 else ""
         if self.kind == "sn":
             return f"{family_print(c.family)}{inv}[{c.index},{c.end}]"
@@ -321,21 +266,25 @@ class SurfaceModel:
 
     def _neighbors_uncached(self, c: CurveLabel) -> frozenset[CurveLabel]:
         out: set[CurveLabel] = set()
-        for rule in self.rules:
-            p = rule.partner(self, c)
-            if p is not None and p != c:
+        for adj in self.adjacency.get(c.family, ()):
+            genus = _step(adj.genus, c.index)
+            if genus is None:
+                continue
+            if adj.end is None:
+                p = CurveLabel(adj.partner, genus)
+            else:
+                end = _step(adj.end, c.end)  # type: ignore[arg-type]
+                if end is None:
+                    continue
+                p = CurveLabel(adj.partner, genus, self._norm_end(end))
+            if p != c and self.is_valid_curve(p) and frozenset((c, p)) not in self.removed:
                 out.add(p)
-            q = AdjacencyRule(rule.right, rule.left).partner(self, c)
-            if q is not None and q != c:
-                out.add(q)
-        out = {x for x in out if frozenset((c, x)) not in self.removed}
         return frozenset(out)
 
     def intersection(self, c1: CurveLabel, c2: CurveLabel) -> int:
-        self.check_curve(c1), self.check_curve(c2)
-        if c1 == c2:
-            return 0
-        return 1 if c2 in self.neighbors(c1) else 0
+        near = self.neighbors(c1)  # checks c1, which is not its own neighbour
+        self.check_curve(c2)
+        return 1 if c2 in near else 0
 
     def without_adjacency(self, c1: CurveLabel, c2: CurveLabel) -> "SurfaceModel":
         """Copy of the model with one adjacency instance deleted (for tests)."""
@@ -345,13 +294,12 @@ class SurfaceModel:
     # -- symmetries ---------------------------------------------------------
 
     def automorphism(self, name: str) -> Automorphism:
-        spec = self.symmetries.get(name)
-        if spec is not None:
-            if spec.kind != "affine":
-                raise UndefinedSymmetry(
-                    f"{name} acts on the ends only; it has no action on the standard labels"
-                )
-            return Automorphism(self.kind, self.n, spec.u, spec.v, spec.swap)
+        sym = self.symmetries.get(name)
+        if sym is not None:
+            if sym.action is None:
+                msg = f"{name} acts on the ends only; it has no action on the standard labels"
+                raise UndefinedSymmetry(msg)
+            return sym.action
         word = self.aliases.get(name)
         if word is None:
             raise UndefinedSymmetry(f"unknown symmetry {name!r} in {self.describe()}")
@@ -361,36 +309,25 @@ class SurfaceModel:
         """Compose the actions of ``(name, exponent)`` letters, leftmost applied last."""
         cache: dict = self._acache  # type: ignore[attr-defined]
         key = tuple(letters)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = self._automorphism_of_word_uncached(key)
-        return hit
-
-    def _automorphism_of_word_uncached(self, letters: Sequence[tuple[str, int]]) -> Automorphism:
-        aut = Automorphism.identity(self)
-        for name, exp in letters:
-            a = self.automorphism(name)
-            if exp < 0:
-                a, exp = a.inverse(), -exp
-            step = Automorphism.identity(self)
-            for _ in range(exp):
-                step = a.compose(step)
-            aut = aut.compose(step)
+        aut = cache.get(key)
+        if aut is None:
+            aut = Automorphism.identity(self)
+            for name, exp in key:
+                a = self.automorphism(name)
+                if exp < 0:
+                    a, exp = a.inverse(), -exp
+                step = Automorphism.identity(self)
+                for _ in range(exp):
+                    step = a.compose(step)
+                aut = aut.compose(step)
+            cache[key] = aut
         return aut
 
     def end_permutation(self, name: str) -> tuple[int, ...]:
-        spec = self.symmetries.get(name)
-        if spec is None:
+        sym = self.symmetries.get(name)
+        if sym is None:
             raise UndefinedSymmetry(f"unknown symmetry {name!r} in {self.describe()}")
-        if spec.kind == "perm":
-            assert spec.perm is not None
-            return spec.perm
-        if self.kind == "sn":
-            return Automorphism(self.kind, self.n, spec.u, spec.v, spec.swap).end_permutation()
-        if self.kind == "jacob":
-            # chain reflections exchange the two ends, translations fix them
-            return (2, 1) if spec.u == -1 else (1, 2)
-        return (1,)
+        return sym.perm
 
     # -- enumeration and validation -----------------------------------------
 
@@ -422,14 +359,15 @@ class SurfaceModel:
         issues: list[ValidationIssue] = []
         labels = self.labels_in_window(window)
 
+        fmt = self.format_curve
         for c in labels:
             for x in self.neighbors(c):
                 if c not in self.neighbors(x):
-                    issues.append(ValidationIssue("symmetry", f"i({c},{x})=1 but i({x},{c})=0"))
+                    a, b = fmt(c), fmt(x)
+                    issues.append(ValidationIssue("symmetry", f"i({a},{b})=1 but i({b},{a})=0"))
 
-        affine = {nm: sp for nm, sp in self.symmetries.items() if sp.kind == "affine"}
-        for nm in affine:
-            aut = self.automorphism(nm)
+        affine = {nm: sym.action for nm, sym in self.symmetries.items() if sym.action is not None}
+        for nm, aut in affine.items():
             # equivariance: the neighbour relation is carried onto itself
             for c in labels:
                 img = aut.act_curve(c)
@@ -437,18 +375,13 @@ class SurfaceModel:
                 got = set(self.neighbors(img))
                 if want != got:
                     diff = (want ^ got) or {img}
-                    issues.append(
-                        ValidationIssue(
-                            "equivariance",
-                            f"{nm}: i({c}, x) not preserved near {sorted(map(repr, diff))}",
-                        )
-                    )
+                    detail = f"{nm}: i({fmt(c)}, x) not preserved near {sorted(map(fmt, diff))}"
+                    issues.append(ValidationIssue("equivariance", detail))
                     if len(issues) > 40:
                         return ValidationReport(self.describe(), window, len(labels), tuple(issues))
 
         # orders on labels
-        for nm, sp in affine.items():
-            aut = self.automorphism(nm)
+        for nm, aut in affine.items():
             if nm == "R":
                 power = Automorphism.identity(self)
                 for _ in range(self.n):
@@ -462,10 +395,9 @@ class SurfaceModel:
         # reflection-type symmetries invert shifts and double back cleanly
         if self.kind == "sn":
             h, s = self.shift(1, 2)
-            for nm, sp in affine.items():
-                if sp.u != -1:
+            for nm, aut in affine.items():
+                if aut.u != -1:
                     continue
-                aut = self.automorphism(nm)
                 h1, s1 = aut.act_shift(h, s)
                 h2, s2 = aut.act_shift(h1, s1)
                 if (h2, s2) != (h, s):

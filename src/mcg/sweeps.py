@@ -63,6 +63,7 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
     basis = TruncatedBasis(model, window + 2)
     labels = model.labels_in_window(window)
     cls = {c: basis.class_of(c) for c in labels}
+    fmt = model.format_curve
     issues: list[str] = []
     degenerate = 0
     checked = 0
@@ -95,18 +96,18 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
                     and c1.end == c2.end
                 )
                 if not same_handle_aa:
-                    issues.append(f"unexpected class collision {c1} vs {c2}")
+                    issues.append(f"unexpected class collision {fmt(c1)} vs {fmt(c2)}")
                 elif inter != 0:
-                    issues.append(f"declared i({c1},{c2})={inter} but classes coincide")
+                    issues.append(f"declared i({fmt(c1)},{fmt(c2)})={inter} but classes coincide")
                 else:
                     degenerate += 1
                 continue
             # independent classes: transvections commute iff the pairing is 0
             # and satisfy the braid identity iff it is +-1
             if (p == 0) != (inter == 0) or (p == 1) != (inter == 1):
-                issues.append(f"i({c1},{c2})={inter} but |<.,.>|={p}")
+                issues.append(f"i({fmt(c1)},{fmt(c2)})={inter} but |<.,.>|={p}")
             if p > 1:
-                issues.append(f"pairing magnitude {p} > 1 for {c1},{c2}")
+                issues.append(f"pairing magnitude {p} > 1 for {fmt(c1)},{fmt(c2)}")
             if len(issues) > 25:
                 return SweepReport("homology sweep", checked, degenerate, tuple(issues))
 
@@ -135,16 +136,16 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
             rhs = t(t(t(x, v2), v1), v2)
             checked += 1
             if lhs != rhs:
-                issues.append(f"braid identity failed for {c1},{c2} at {key}")
+                issues.append(f"braid identity failed for {fmt(c1)},{fmt(c2)} at {key}")
         if all(t(t({k: 1}, v1), v2) == t(t({k: 1}, v2), v1) for k in set(v1) | set(v2)):
-            issues.append(f"matrices of {c1},{c2} commute despite i=1")
+            issues.append(f"matrices of {fmt(c1)},{fmt(c2)} commute despite i=1")
     for c1, c2 in sample_disjoint:
         v1, v2 = cls[c1], cls[c2]
         for key in set(v1) | set(v2):
             x = {key: 1}
             checked += 1
             if t(t(x, v1), v2) != t(t(x, v2), v1):
-                issues.append(f"disjoint pair {c1},{c2} fails to commute at {key}")
+                issues.append(f"disjoint pair {fmt(c1)},{fmt(c2)} fails to commute at {key}")
 
     return SweepReport("homology sweep", checked, degenerate, tuple(issues))
 
@@ -158,6 +159,7 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
     nontrivially with c together with c's support. Symmetry and shift
     matrices are (partial) position permutations: they preserve the form iff
     each handle block maps onto one handle block, checked per position.
+    A twist that breaks the form is reported once, at its first broken pair.
     """
     basis = TruncatedBasis(model, window + 2)
     issues: list[str] = []
@@ -172,13 +174,19 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
             for y, uy, my in zip(mates, units, images):
                 checked += 1
                 if pairing(mx, my) != pairing(ux, uy):
-                    issues.append(f"twist about {c} breaks the pairing at ({x},{y})")
                     break
+            else:
+                continue
+            # one line per label: its first broken pair
+            issues.append(f"twist about {model.format_curve(c)} breaks the pairing at ({x},{y})")
+            if len(issues) > 25:
+                return SweepReport("pairing preservation", checked, 0, tuple(issues))
+            break
 
-    for name, spec in model.symmetries.items():
-        if spec.kind != "affine":
+    for name, sym in model.symmetries.items():
+        aut = sym.action
+        if aut is None:
             continue
-        aut = model.automorphism(name)
         seen = {}
         for key in basis.keys():
             img = _aut_key(aut, key)
@@ -188,6 +196,8 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
             seen[img] = key
             if img[0] != key[0]:
                 issues.append(f"{name} mixes a/b kinds at {key}")
+            if len(issues) > 25:
+                return SweepReport("pairing preservation", checked, 0, tuple(issues))
         # per-handle block coherence gives <Px,Py> = <x,y> for all pairs
     return SweepReport("pairing preservation", checked, 0, tuple(issues))
 

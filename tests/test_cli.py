@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mcg.cli import main
+from mcg.modelfile import builtin_model_text
 from mcg.report import _OTHER_COLOR, _VERDICT_COLORS
 
 
@@ -97,6 +98,34 @@ def test_huge_index_map_constant_reports_position(tmp_path, capsys):
     assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
     err = capsys.readouterr().err
     assert "bad.model:2" in err and "5000-digit" in err
+
+
+# malformed aliases in the Jacob's Ladder model: the replacement of its
+# "alias H = tau2 tau1" line, the offset of the blamed line from that line,
+# and the message
+BAD_ALIASES = {
+    "unknown": ("alias H = tau9 tau1", 0, "alias 'H' names 'tau9', which is not declared above it"),
+    "self": ("alias H = H tau1", 0, "alias 'H' names 'H', which is not declared above it"),
+    "cycle": ("alias H = G tau1\nalias G = H", 0, "alias 'H' names 'G', which is not declared above it"),
+    "repeated": ("alias H = tau2 tau1\nalias H = tau1", 1, "alias 'H' already declared"),
+    "symmetry": ("alias H = tau2 tau1\nalias tau1 = tau2", 1, "alias 'tau1' already declared"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [["selfcheck", "--window", "2"], ["verify", "thmC"]], ids=["selfcheck", "verify"]
+)
+@pytest.mark.parametrize("case", sorted(BAD_ALIASES))
+def test_malformed_alias_reports_position(tmp_path, capsys, argv, case):
+    text = builtin_model_text("jacob")
+    replacement, offset, message = BAD_ALIASES[case]
+    assert "alias H = tau2 tau1\n" in text
+    bad = tmp_path / "bad.model"
+    bad.write_text(text.replace("alias H = tau2 tau1", replacement))
+    line = text[: text.index("alias H")].count("\n") + 1 + offset
+    assert main([*argv, "--model-file", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.model:{line}: {message}" in err and "Traceback" not in err
 
 
 def test_huge_script_index_reports_position(capsys):

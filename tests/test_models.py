@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from mcg import intersection_number, validate_model
+import mcg.sweeps
+from mcg import intersection_number, load_model, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
 from mcg.labels import CurveLabel
 from mcg.modelfile import builtin_model_text, parse_model_text
-from mcg.sweeps import homology_property_sweep
+from mcg.sweeps import homology_property_sweep, pairing_preservation_sweep
 
 
 def test_loch_ness_adjacency_from_derivations(lochness):
@@ -151,6 +152,78 @@ def test_unbalanced_adjacency_rule_reports_position():
     with pytest.raises(ModelFileError) as err:
         parse_model_text("kind jacob\nadj A[k] B[3]\n", path="bad.model")
     assert err.value.line == 2 and "genus" in str(err.value)
+
+
+# printed neighbour sets at the edges of the adjacency rules: the
+# constant-genus gap rule across the end wrap and read backwards, the chain
+# rules at index 0, and Loch Ness next to its skipped index
+EDGE_NEIGHBOURS = [
+    (("sn", 17), ("C", 0, 17), {"B[1,17]", "B[1,1]"}),
+    (("sn", 17), ("B", 1, 1), {"A[1,1]", "A'[1,1]", "C[0,17]", "C[0,1]", "C[1,1]"}),
+    (("jacob", None), ("B", 0), {"A[0]", "A'[0]", "C[-1]", "C[0]"}),
+    (("jacob", None), ("C", -1), {"B[-1]", "B[0]"}),
+    (("lochness", None), ("B", 1), {"A[1]", "C[0]", "C[1]"}),
+]
+
+
+@pytest.mark.parametrize("model_args, curve, expected", EDGE_NEIGHBOURS)
+def test_neighbours_at_rule_edges(model_args, curve, expected):
+    model = load_model(*model_args)
+    assert {model.format_curve(x) for x in model.neighbors(model.curve(*curve))} == expected
+
+
+@pytest.mark.parametrize(
+    "kind, n, pairs", [("sn", 16, 400), ("sn", 17, 425), ("jacob", None, 51), ("lochness", None, 38)]
+)
+def test_neighbour_pairs_in_window_6(kind, n, pairs):
+    model = load_model(kind, n)
+    labels = set(model.labels_in_window(6))
+    assert len({frozenset((c, x)) for c in labels for x in model.neighbors(c) if x in labels}) == pairs
+
+
+def test_alias_resolves_to_primitive_symmetries(jacob):
+    text = builtin_model_text("jacob") + "alias G = H~ tau1^3 H^2\nalias K = G^-2 H~ tau2^0\n"
+    model = parse_model_text(text)
+    assert model.aliases["H"] == (("tau2", 1), ("tau1", 1))
+    assert model.aliases["G"] == (
+        ("tau1", -1), ("tau2", -1), ("tau1", 3), ("tau2", 1), ("tau1", 1), ("tau2", 1), ("tau1", 1)
+    )
+    assert {name for word in model.aliases.values() for name, _ in word} == {"tau1", "tau2"}
+    # the expansion acts as the word it was written as
+    written = replace(
+        model,
+        aliases={
+            "H": (("tau2", 1), ("tau1", 1)),
+            "G": (("H", -1), ("tau1", 3), ("H", 2)),
+            "K": (("G", -2), ("H", -1), ("tau2", 0)),
+        },
+    )
+    for name in ("H", "G", "K"):
+        assert model.automorphism(name) == written.automorphism_of_word(written.aliases[name])
+    assert model.automorphism("H") == jacob.automorphism("H")
+
+
+def test_alias_expansion_is_bounded():
+    text = builtin_model_text("jacob")
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text + "alias G = H^6000\n", path="big.model")
+    assert err.value.line == text.count("\n") + 1 and "more than 10000 letters" in str(err.value)
+
+
+def test_loch_ness_issues_name_printed_labels(monkeypatch, lochness):
+    # internal chain coordinate 0 of A and B prints as -1 on the one-ended model
+    broken = lochness.without_adjacency(lochness.curve("A", -1), lochness.curve("B", -1))
+    assert homology_property_sweep(broken, 4).issues == ("i(A[-1],B[-1])=0 but |<.,.>|=1",)
+    assert [str(i) for i in validate_model(broken, 4).issues] == [
+        "equivariance: tau1: i(A[-1], x) not preserved near ['B[1]']",
+        "equivariance: tau1: i(A[1], x) not preserved near ['B[-1]']",
+        "equivariance: tau1: i(B[-1], x) not preserved near ['A[1]']",
+        "equivariance: tau1: i(B[1], x) not preserved near ['A[-1]']",
+    ]
+    monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
+    named = [i.split(" breaks the pairing at ")[0] for i in pairing_preservation_sweep(lochness, 1).issues]
+    printed = ("A[-2]", "A[-1]", "A[1]", "B[-2]", "B[-1]", "B[1]", "C[-1]", "C[0]", "C[1]")
+    assert named == [f"twist about {x}" for x in printed]
 
 
 def test_homology_sweep_flags_deleted_adjacency(sn17):

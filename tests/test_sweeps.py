@@ -26,15 +26,26 @@ def test_sweep_check_counts_at_window_12(kind, n):
 
 
 def test_pairing_sweep_reports_a_twist_that_breaks_the_form(monkeypatch, jacob):
-    # doubling every image scales each pairing by 4: for every label, each
-    # key x of the checked set breaks the form with its mate, and the sweep
-    # reports the first such pair of each x
+    # doubling every image scales each pairing by 4: for every label, the
+    # first key of the checked set breaks the form with its mate, and the
+    # sweep reports that first pair once per label
     monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
     rep = pairing_preservation_sweep(jacob, 2)
     assert not rep.ok
     assert rep.issues[:2] == (
         "twist about A[-2] breaks the pairing at (('a', -2),('b', -2))",
-        "twist about A[-2] breaks the pairing at (('b', -2),('a', -2))",
+        "twist about A[-1] breaks the pairing at (('a', -1),('b', -1))",
     )
-    named = {i.split(" breaks the pairing at ")[0] for i in rep.issues}
-    assert named == {f"twist about {c}" for c in jacob.labels_in_window(2)}
+    named = [i.split(" breaks the pairing at ")[0] for i in rep.issues]
+    assert named == [f"twist about {c}" for c in jacob.labels_in_window(2)]
+
+
+def test_pairing_sweep_stops_at_the_issue_cap(monkeypatch, sn16):
+    # S(16) at window 12 has 784 labels whose twists all break the form;
+    # the sweep stops after 25 issues, each naming a different label
+    monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
+    rep = pairing_preservation_sweep(sn16, 12)
+    assert len(sn16.labels_in_window(12)) == 784
+    assert len(rep.issues) == 26
+    named = [i.split(" breaks the pairing at ")[0] for i in rep.issues]
+    assert named == [f"twist about {c}" for c in sn16.labels_in_window(12)[:26]]
