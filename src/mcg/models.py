@@ -96,6 +96,18 @@ class Automorphism(NamedTuple):
         #  x -> u x + v  inverts to  x -> u x - u v   (u in {1,-1})
         return Automorphism(self.kind, self.n, self.u, self._norm(-self.u * self.v), self.swap)
 
+    def power(self, k: int) -> "Automorphism":
+        """self composed k times, the inverse -k times when k < 0, in closed
+        form: x -> x + v has k-th power x -> x + k v, and x -> -x + v is an
+        involution, so its powers alternate with the parity of k, as the
+        family exchange does."""
+        odd = k % 2 == 1
+        if self.u == 1:
+            return Automorphism(self.kind, self.n, 1, self._norm(k * self.v), self.swap and odd)
+        if not odd:
+            return Automorphism(self.kind, self.n, 1, 0, False)
+        return Automorphism(self.kind, self.n, -1, self._norm(self.v), self.swap)
+
     def _map_index(self, x: int) -> int:
         return self.u * x + self.v
 
@@ -313,13 +325,7 @@ class SurfaceModel:
         if aut is None:
             aut = Automorphism.identity(self)
             for name, exp in key:
-                a = self.automorphism(name)
-                if exp < 0:
-                    a, exp = a.inverse(), -exp
-                step = Automorphism.identity(self)
-                for _ in range(exp):
-                    step = a.compose(step)
-                aut = aut.compose(step)
+                aut = aut.compose(self.automorphism(name).power(exp))
             cache[key] = aut
         return aut
 

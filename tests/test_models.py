@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from mcg import intersection_number, load_model, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
 from mcg.labels import CurveLabel
 from mcg.modelfile import builtin_model_text, parse_model_text
+from mcg.models import Automorphism
 from mcg.sweeps import homology_property_sweep, pairing_preservation_sweep
 
 
@@ -252,3 +254,32 @@ def test_homology_sweep_flags_declared_crossing_with_zero_pairing(rule):
 def test_degenerate_n_rejected():
     with pytest.raises(Exception):
         parse_model_text("kind sn\n", n=2)
+
+
+def _power_by_composition(model, name, k):
+    """The loop a closed-form power replaces: |k| compositions."""
+    a = model.automorphism(name)
+    if k < 0:
+        a, k = a.inverse(), -k
+    out = Automorphism.identity(model)
+    for _ in range(k):
+        out = a.compose(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, n, name",
+    [("sn", 17, "R"), ("sn", 17, "rho1"), ("sn", 16, "rho2"), ("jacob", None, "H"), ("jacob", None, "tau1"), ("lochness", None, "tau2")],
+)
+def test_symmetry_powers_match_repeated_composition(kind, n, name):
+    model = load_model(kind, n)
+    for k in range(-40, 41):
+        assert model.automorphism_of_word([(name, k)]) == _power_by_composition(model, name, k), k
+
+
+def test_huge_exponent_is_closed_form(sn17):
+    t0 = time.perf_counter()
+    big = sn17.automorphism_of_word([("R", 10**9)])
+    assert time.perf_counter() - t0 < 1.0  # the loop it replaces ran for minutes
+    assert big == sn17.automorphism_of_word([("R", 10**9 % 17)])
+    assert sn17.automorphism_of_word([("rho1", -(10**9) - 1)]) == sn17.automorphism("rho1")
