@@ -147,13 +147,6 @@ def _twist_apply(v: Vec, cls: Vec, exp: int) -> Vec:
     return out
 
 
-def _aut_key(aut: Automorphism, key: Key) -> Key:
-    """Basis key carried by a symmetry's label action."""
-    if aut.kind == "sn":
-        return (key[0], aut._map_end(key[1]), key[2])
-    return (key[0], aut._map_index(key[1]))
-
-
 class _Relabel:
     """The symmetry and shift letters applied so far, as one key map from
     start coordinates to current ones: the end (sn) or index (chain) map of

@@ -34,11 +34,11 @@ from .errors import McgError, ModelFileError
 from .labels import family_parse
 from .models import Adjacency, Automorphism, SurfaceModel, Symmetry
 from .permgroup import Permutation
+from .words import MAX_LETTERS, Sym, power
 
 _LABEL_RE = re.compile(r"^(A'|A|B|C)\[([^\]]*)\]$")
 _NAME_EXP_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)(~)?(?:\^(-?\d+))?$")
-_ALIAS_LETTERS = 10_000  # longest alias expansion read
-_Word = tuple[tuple[str, int], ...]  # (symmetry, exponent) letters
+_Word = tuple[Sym, ...]
 
 
 def _decimal(text: str, where: tuple[str, int]) -> int:
@@ -103,10 +103,10 @@ def _index_maps(text: str, kind: str, where: tuple[str, int]) -> tuple[str, list
 
 
 def _alias_word(name: str, text: str, syms: dict, aliases: dict[str, _Word], where: tuple[str, int]) -> _Word:
-    """The alias ``name = text`` as ``(primitive symmetry, exponent)``
-    letters: ``X^k`` repeats alias X's word k times, ``X~`` reverses and
-    inverts it. Naming only what is declared above keeps aliases acyclic."""
-    out: list[tuple[str, int]] = []
+    """The alias ``name = text`` as primitive ``Sym`` letters, zero
+    exponents dropped: ``X^k`` is ``words.power`` of alias X's word, as in a
+    script. Naming only what is declared above keeps aliases acyclic."""
+    out: list[Sym] = []
     for tok in text.split():
         m = _NAME_EXP_RE.match(tok)
         if not m:
@@ -114,17 +114,14 @@ def _alias_word(name: str, text: str, syms: dict, aliases: dict[str, _Word], whe
         sym, exp = m.group(1), _decimal(m.group(3), where) if m.group(3) else 1
         if m.group(2):
             exp = -exp
-        if sym in syms:
-            out.append((sym, exp))
-            continue
         part = aliases.get(sym)
-        if part is None:
+        if sym in syms:  # one letter, dropped when its exponent is 0
+            part, exp = (Sym(sym, exp),), int(exp != 0)
+        elif part is None:
             raise ModelFileError(f"alias {name!r} names {sym!r}, which is not declared above it", *where)
-        if exp < 0:
-            part, exp = tuple((s, -e) for s, e in reversed(part)), -exp
-        if len(out) + len(part) * exp > _ALIAS_LETTERS:
-            raise ModelFileError(f"alias {name!r} expands to more than {_ALIAS_LETTERS} letters", *where)
-        out.extend(part * exp)
+        if len(out) + len(part) * abs(exp) > MAX_LETTERS:
+            raise ModelFileError(f"alias {name!r} expands to more than {MAX_LETTERS} letters", *where)
+        out.extend(power(part, exp))
     return tuple(out)
 
 

@@ -194,7 +194,7 @@ class SurfaceModel:
     n: int  # number of ends (sn: >=3, jacob: 2, lochness: 1)
     adjacency: dict[str, tuple[Adjacency, ...]]  # by family: both directions of every adj line
     symmetries: dict[str, Symmetry]
-    aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)  # (symmetry, exp) words
+    aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)  # words.Sym letters
     removed: frozenset[frozenset[CurveLabel]] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -389,10 +389,7 @@ class SurfaceModel:
         # orders on labels
         for nm, aut in affine.items():
             if nm == "R":
-                power = Automorphism.identity(self)
-                for _ in range(self.n):
-                    power = aut.compose(power)
-                if not power.is_identity():
+                if not aut.power(self.n).is_identity():
                     issues.append(ValidationIssue("order", f"R^{self.n} is not the identity"))
             else:
                 if not aut.compose(aut).is_identity():

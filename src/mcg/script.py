@@ -22,6 +22,9 @@ is the handle shift between two ends, and names refer to primitives
 (``R rho1 rho2 tau`` / ``tau1 tau2 H``) or earlier LET bindings.
 Juxtaposition composes right-to-left (the rightmost factor acts first);
 ``CONJ(x, g)`` is ``g x g~``, ``INV(x)`` the inverse, ``ID`` the empty word.
+``X^k`` on a name or a group is k copies of X, of X's inverse when k < 0;
+``CONJ`` and groups are freely reduced. A word over ``words.MAX_LETTERS``
+letters is an ``McgError``, raised before a power would build it.
 Index arithmetic allows ``+ - * /`` and the parameter ``n``; divisions must
 be exact. End indices wrap modulo n.
 
@@ -36,10 +39,10 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
-from .errors import InvalidLabel, ParseError, Redefinition, UndefinedName
+from .errors import InvalidLabel, McgError, ParseError, Redefinition, UndefinedName
 from .labels import family_parse, family_print
 from .models import SurfaceModel
-from .words import Shift, Sym, Twist, Word, conjugate, free_reduce, invert, word
+from .words import MAX_LETTERS, Letter, Shift, Sym, Twist, Word, free_reduce, power
 
 CONVENTIONS_TEXT = "compose=rtl;conj(x,g)=g*x*inv(g);twists=right-handed;order=end,genus,A<A'<B<C"
 CONVENTIONS_ID = hashlib.sha256(CONVENTIONS_TEXT.encode()).hexdigest()[:8]
@@ -725,58 +728,54 @@ class EvalContext:
     env: dict[str, Word] = field(default_factory=dict)
 
 
-def _word_power(w: Word, k: int) -> Word:
-    if k == 0:
-        return Word(w.model, ())
-    base = w if k > 0 else invert(w)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = out * base
-    return out
-
-
 def eval_word(expr: WordExpr, ctx: EvalContext) -> Word:
+    return Word(ctx.model, _letters(expr, ctx))
+
+
+def _power(letters: tuple[Letter, ...], k: int, expr: WordExpr) -> tuple[Letter, ...]:
+    """``words.power(letters, k)``, or an ``McgError`` naming ``expr`` before
+    a word longer than ``MAX_LETTERS`` is built. A node that may grow is its
+    own first power."""
+    count = len(letters) * abs(k)
+    if count > MAX_LETTERS:
+        text = expr.text() if len(expr.text()) <= 60 else expr.text()[:57] + "..."
+        raise McgError(f"{text} has {count} letters, more than the {MAX_LETTERS}-letter bound on a word")
+    return power(letters, k)
+
+
+def _letters(expr: WordExpr, ctx: EvalContext) -> tuple[Letter, ...]:
     model, n = ctx.model, ctx.n
     if isinstance(expr, ESeq):
-        out = Word(model, ())
-        for part in expr.parts:
-            out = out * eval_word(part, ctx)
-        return out
+        return _power(tuple(g for part in expr.parts for g in _letters(part, ctx)), 1, expr)
     if isinstance(expr, EId):
-        return Word(model, ())
+        return ()
     if isinstance(expr, ECurve):
         vals = [i.eval(n) for i in expr.indices]
         if model.kind == "sn" and len(vals) == 1:
             genus = 0 if expr.family == "C" else 1
             vals = [genus, vals[0]]
         label = model.curve(expr.family, *vals)
-        return word(model, [Twist(label, -1 if expr.inverse else 1)])
+        return (Twist(label, -1 if expr.inverse else 1),)
     if isinstance(expr, EShift):
         label, sign = model.shift(expr.ends[0].eval(n), expr.ends[1].eval(n))
-        return word(model, [Shift(label, -sign if expr.inverse else sign)])
-    if isinstance(expr, EName):
+        return (Shift(label, -sign if expr.inverse else sign),)
+    if isinstance(expr, (EName, EGroup)):
         exp = expr.power.eval(n) if expr.power is not None else 1
-        if expr.inverse:
-            exp = -exp
+        exp = -exp if expr.inverse else exp
+        if isinstance(expr, EGroup):
+            return free_reduce(_power(_letters(expr.body, ctx), exp, expr))
         bound = ctx.env.get(expr.name)
         if bound is not None:
-            return _word_power(bound, exp)
+            return _power(bound.letters, exp, expr)
         if expr.name in model.symmetries:
-            return word(model, [Sym(expr.name, exp)])
+            return (Sym(expr.name, exp),) if exp else ()
         alias = model.aliases.get(expr.name)
         if alias is not None:
-            base = word(model, [Sym(nm, e) for nm, e in alias])
-            return _word_power(base, exp)
-        raise UndefinedName(f"name {expr.name!r} has no value", 0, 0)
+            return _power(alias, exp, expr)
+        raise McgError(f"name {expr.name!r} has no value in the {model.describe()} model")
     if isinstance(expr, EConj):
-        return conjugate(eval_word(expr.body, ctx), eval_word(expr.by, ctx))
+        body, by = _letters(expr.body, ctx), _letters(expr.by, ctx)
+        return _power(free_reduce(by + body + power(by, -1)), 1, expr)
     if isinstance(expr, EInv):
-        return invert(eval_word(expr.body, ctx))
-    if isinstance(expr, EGroup):
-        w = eval_word(expr.body, ctx)
-        if expr.inverse:
-            w = invert(w)
-        if expr.power is not None:
-            w = _word_power(w, expr.power.eval(n))
-        return free_reduce(w)
+        return power(_letters(expr.body, ctx), -1)
     raise TypeError(f"unhandled expression {expr!r}")

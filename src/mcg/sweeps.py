@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import Key, TruncatedBasis, _aut_key, _mate, _twist_apply, pairing, verify_identity_homology
+from .homology import Key, TruncatedBasis, _mate, _Relabel, _twist_apply, pairing, verify_identity_homology
 from .models import SurfaceModel
 from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
@@ -187,9 +187,11 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
         aut = sym.action
         if aut is None:
             continue
+        relabel = _Relabel(model)
+        relabel.then_symmetry(aut)
         seen = {}
         for key in basis.keys():
-            img = _aut_key(aut, key)
+            img = relabel.forward(key)
             checked += 1
             if img in seen:
                 issues.append(f"{name} maps two classes onto {img}")

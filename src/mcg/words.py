@@ -9,7 +9,9 @@ nonzero exponents since their powers collapse into one automorphism anyway.
 Letters are immutable tuples (``typing.NamedTuple``) that hash as their
 field tuples. The code compares a letter only with letters of its own type;
 letters of different types never compare equal, since their labels differ
-(a curve label, a shift label, a symmetry name).
+(a curve label, a shift label, a symmetry name). A ``Sym`` equals its
+``(name, exp)`` pair, the form of a model-file alias letter. ``power`` builds
+``X^k`` for scripts and aliases alike, each checking ``MAX_LETTERS`` first.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class Sym(NamedTuple):
 
 
 Letter = Union[Twist, Shift, Sym]
+MAX_LETTERS = 10_000  # longest word a script or a model-file alias builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +120,22 @@ def invert_letter(g: Letter) -> Letter:
 
 def invert(w: Word) -> Word:
     """Reverse the word and flip every exponent."""
-    return Word(w.model, tuple(invert_letter(g) for g in reversed(w.letters)))
+    return Word(w.model, power(w.letters, -1))
 
 
-def free_reduce(w: Word) -> Word:
+def power(letters: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
+    """The letters repeated k times; for k < 0, reversed with every exponent
+    flipped and repeated -k times. The empty word is its own power at any k,
+    even one too large for a repeat count."""
+    if k < 0:
+        letters, k = tuple(invert_letter(g) for g in reversed(letters)), -k
+    return letters * k if letters else ()
+
+
+def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain (stack pass)."""
     stack: list[Letter] = []
-    for g in w.letters:
+    for g in letters:
         if stack and _cancels(stack[-1], g):
             top = stack.pop()
             rest = _merge(top, g)
@@ -131,7 +143,7 @@ def free_reduce(w: Word) -> Word:
                 stack.append(rest)
             continue
         stack.append(g)
-    return Word(w.model, tuple(stack))
+    return tuple(stack)
 
 
 def _cancels(a: Letter, b: Letter) -> bool:
@@ -147,10 +159,3 @@ def _merge(a: Letter, b: Letter) -> Letter | None:
         e = a.exp + b.exp  # type: ignore[union-attr]
         return Sym(a.name, e) if e else None
     return None
-
-
-def conjugate(w: Word, g: Word) -> Word:
-    """g w g^-1, freely reduced."""
-    if w.model is not g.model:
-        raise ModelMismatch("conjugation across different models")
-    return free_reduce(g * w * invert(g))

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import struct
+import time
 import zlib
 from pathlib import Path
 
@@ -344,3 +345,30 @@ def test_jobs_option_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "head, power, letters",
+    [("MODEL sn\nPARAM n DEFAULT 17\nLET X = A[1]", "X^20000", 20000), ("MODEL jacob", "H^20000", 40000)],
+)
+def test_overlong_script_word_is_one_error_row(tmp_path, head, power, letters):
+    script, out = tmp_path / "big.mcg", tmp_path / "r.json"
+    script.write_text(f"{head}\nLET Y = {power}\nASSERT_EQ {power[0]} {power[0]}~ = ID\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(script), "--format", "json", "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    rows = json.loads(out.read_text())["scripts"][0]["statements"]
+    bad = [r for r in rows if not r["ok"]]
+    assert [(r["statement"], r["verdict"]) for r in bad] == [(f"LET Y = {power}", "error")]
+    assert bad[0]["witness"] == f"{power} has {letters} letters, more than the 10000-letter bound on a word"
+    assert rows[-1]["verdict"] == "ProvedEqual"
+
+
+def test_symmetry_missing_from_the_model_file_names_the_model(tmp_path):
+    model, out = tmp_path / "sigma.model", tmp_path / "r.json"
+    model.write_text(builtin_model_text("sn").replace("sym tau perm (1 2)", "sym sigma perm (1 2)"))
+    assert main(["verify", "thmA", "--n", "17", "--model-file", str(model), "--format", "json", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["scripts"][0]["statements"]
+    assert [(r["line"], r["verdict"], r["witness"]) for r in rows if not r["ok"]] == [
+        (99, "error", "name 'tau' has no value in the S(17) model")
+    ]

@@ -13,7 +13,6 @@ from mcg.errors import UndefinedSymmetry
 from mcg.homology import (
     HomologyResult,
     TruncatedBasis,
-    _aut_key,
     _fmt_vec,
     _support_bound,
     _twist_apply,
@@ -210,6 +209,13 @@ def test_conjugated_twist_is_transvection_about_image_class(sn17):
         expected_cols[key] = _twist_apply({key: 1}, image_class, 1)
     for key in basis.keys():
         assert got.cols[key] == expected_cols[key], key
+
+
+def _aut_key(aut, key):
+    """Basis key carried by a symmetry's label action."""
+    if aut.kind == "sn":
+        return (key[0], aut._map_end(key[1]), key[2])
+    return (key[0], aut._map_index(key[1]))
 
 
 def _shift_key(h, exp, key):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import mcg.homology
 import mcg.sweeps
 from mcg import intersection_number, load_model, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
@@ -10,6 +11,7 @@ from mcg.labels import CurveLabel
 from mcg.modelfile import builtin_model_text, parse_model_text
 from mcg.models import Automorphism
 from mcg.sweeps import homology_property_sweep, pairing_preservation_sweep
+from mcg.words import Sym
 
 
 def test_loch_ness_adjacency_from_derivations(lochness):
@@ -191,6 +193,9 @@ def test_alias_resolves_to_primitive_symmetries(jacob):
         ("tau1", -1), ("tau2", -1), ("tau1", 3), ("tau2", 1), ("tau1", 1), ("tau2", 1), ("tau1", 1)
     )
     assert {name for word in model.aliases.values() for name, _ in word} == {"tau1", "tau2"}
+    # Sym letters, equal to their (name, exp) pairs; tau2^0 is dropped
+    assert model.aliases["K"][-1] == Sym("tau2", -1) == ("tau2", -1)
+    assert all(type(g) is Sym and g.exp for word in model.aliases.values() for g in word)
     # the expansion acts as the word it was written as
     written = replace(
         model,
@@ -207,9 +212,12 @@ def test_alias_resolves_to_primitive_symmetries(jacob):
 
 def test_alias_expansion_is_bounded():
     text = builtin_model_text("jacob")
-    with pytest.raises(ModelFileError) as err:
-        parse_model_text(text + "alias G = H^6000\n", path="big.model")
-    assert err.value.line == text.count("\n") + 1 and "more than 10000 letters" in str(err.value)
+    line = text.count("\n") + 1
+    for alias in ("G = H^6000", "G = H~^-5000 tau1", "G = tau1 H^-5000"):
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text(text + f"alias {alias}\n", path="big.model")
+        assert str(err.value) == f"big.model:{line}: alias 'G' expands to more than 10000 letters"
+    assert len(parse_model_text(text + "alias G = H^5000\n").aliases["G"]) == 10_000
 
 
 def test_loch_ness_issues_name_printed_labels(monkeypatch, lochness):
@@ -226,6 +234,16 @@ def test_loch_ness_issues_name_printed_labels(monkeypatch, lochness):
     named = [i.split(" breaks the pairing at ")[0] for i in pairing_preservation_sweep(lochness, 1).issues]
     printed = ("A[-2]", "A[-1]", "A[1]", "B[-2]", "B[-1]", "B[1]", "C[-1]", "C[0]", "C[1]")
     assert named == [f"twist about {x}" for x in printed]
+
+
+@pytest.mark.parametrize("kind, n", [("sn", 17), ("jacob", None)])
+def test_pairing_sweep_carries_keys_by_the_oracle_relabel(monkeypatch, kind, n):
+    model = load_model(kind, n)
+    assert pairing_preservation_sweep(model, 2).issues == ()
+    mate = {"a": "b", "b": "a"}
+    monkeypatch.setattr(mcg.homology._Relabel, "forward", lambda self, key: (mate[key[0]],) + key[1:])
+    issues = pairing_preservation_sweep(model, 2).issues
+    assert issues and all(" mixes a/b kinds at " in i for i in issues)
 
 
 def test_homology_sweep_flags_deleted_adjacency(sn17):

@@ -1,4 +1,5 @@
-from mcg.words import Shift, Sym, Twist, conjugate, free_reduce, invert, word
+from mcg.script import EvalContext, eval_word, parse
+from mcg.words import Shift, Sym, Twist, free_reduce, invert, word
 
 
 def fw(model, *parts):
@@ -36,19 +37,22 @@ def test_invert_matches_reversal_oracle(sn17):
             expected.append(Shift(g.label, -g.exp))
     assert list(invert(f1).letters) == expected
     assert len(invert(f1)) == 7
-    assert free_reduce(f1 * invert(f1)).letters == ()
-    assert free_reduce(invert(invert(f1)) * invert(f1)).letters == ()
+    assert free_reduce((f1 * invert(f1)).letters) == ()
+    assert free_reduce((invert(invert(f1)) * invert(f1)).letters) == ()
+
+
+def conj(model, body, by):
+    """``CONJ(body, by)`` as a script evaluates it."""
+    script = parse(f"MODEL sn\nASSERT_INVOLUTION CONJ({body}, {by})\n")
+    return eval_word(script.statements[0].expr, EvalContext(model, model.n))
 
 
 def test_conjugate_identity_conjugator(sn17):
-    w = fw(sn17, tw(sn17, "A", 1, 1))
-    assert conjugate(w, fw(sn17)) == w
+    assert conj(sn17, "A[1,1]", "ID") == fw(sn17, tw(sn17, "A", 1, 1))
 
 
 def test_conjugate_is_g_w_ginv(sn17):
-    a = fw(sn17, tw(sn17, "A", 1, 1))
-    b = fw(sn17, tw(sn17, "B", 1, 1))
-    got = conjugate(a, b)
+    got = conj(sn17, "A[1,1]", "B[1,1]")
     assert got.letters == (
         tw(sn17, "B", 1, 1),
         tw(sn17, "A", 1, 1),
@@ -65,7 +69,7 @@ def test_free_reduce_cancels_through_merges(sn17):
         tw(sn17, "A", 1, 1),
         tw(sn17, "A", 1, 1, exp=-1),
     )
-    assert free_reduce(w).letters == ()
+    assert free_reduce(w.letters) == ()
 
 
 def test_word_powers_expand_to_unit_letters(sn17):
