@@ -168,6 +168,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 def cmd_normalize(args: argparse.Namespace) -> int:
     budget = _budget(args.budget)
     model, w = _word_from_text(args)
+    # a bad --matrix-window fails before anything is printed
+    basis = TruncatedBasis(model, args.matrix_window) if args.matrix else None
     res = normalize(w, DEFAULT_BUDGET if budget is None else budget)
     print(res.word if len(res.word) else "ID")
     if args.trace:
@@ -176,8 +178,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     if not res.normalized:
         print("NOT NORMALIZED: budget exhausted", file=sys.stderr)
         return 1
-    if args.matrix:
-        basis = TruncatedBasis(model, args.matrix_window)
+    if basis is not None:
         print(word_matrix(basis, w).grid())
     return 0
 

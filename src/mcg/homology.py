@@ -15,10 +15,12 @@ distinct positions are orthogonal. Curve classes in this basis:
 
 A right-handed twist about a curve with class c acts as the transvection
 ``x -> x + <x, c> c`` (Farb-Margalit, *A Primer on Mapping Class Groups*,
-Prop. 6.3); the sign convention is pinned by a startup self test (braid
-identity on a symplectic pair). Symmetries act by permuting basis
-positions; handle shifts translate one or two strands by a genus step and
-carry a validity mask excluding columns whose trajectory leaves the window.
+Prop. 6.3), one step, ``_transvect``, for the kernel and the sweeps. The
+braid identity holds for either sign, so the self test pins the sign
+itself: the twist about A[1] sends b_1 to b_1 - a_1. Symmetries act by
+permuting basis positions; handle shifts translate one or two strands by a
+genus step and carry a validity mask excluding columns whose trajectory
+leaves the window.
 A verdict is always relative to the common valid subspace: ``Consistent`` is
 a necessary condition, not a proof.
 
@@ -45,6 +47,7 @@ from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
 from .labels import CurveLabel
+from .modelfile import load_model
 from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Twist, Word
 
@@ -135,16 +138,26 @@ def pairing(u: Vec, v: Vec) -> int:
     return total
 
 
-def _twist_apply(v: Vec, cls: Vec, exp: int) -> Vec:
-    s = pairing(v, cls)
-    if not s:
-        return v
-    out = dict(v)
-    for key, c in cls.items():
-        out[key] = out.get(key, 0) + exp * s * c
-        if not out[key]:
-            del out[key]
-    return out
+def _mates(cls: Vec) -> list[tuple[Key, int]]:
+    """<v, cls> is the sum of weight * v[mate] over these (mate, weight)."""
+    return [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
+
+
+def _transvect(v: Vec, cls: Vec, mates: list[tuple[Key, int]], exp: int) -> int:
+    """Twist ``v`` in place about the class ``cls`` (with ``_mates(cls)``)
+    ``exp`` times, x -> x + exp <x, c> c, and return the multiple of c added."""
+    s = 0
+    for m, w in mates:
+        s += w * v.get(m, 0)
+    s *= exp
+    if s:
+        for k, c in cls.items():
+            x = v.get(k, 0) + s * c
+            if x:
+                v[k] = x
+            else:
+                del v[k]
+    return s
 
 
 class _Relabel:
@@ -260,27 +273,21 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter], reach: int | None = 
                 hit = classes[g.label] = (cls, all(inside(k) for k in cls))
             cls, fits = hit
             cls = {relabel.back(k): c for k, c in cls.items()}
-            # <v, cls> is the sum of weight * v[mate] over the class's keys
-            mates = [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
+            mates = _mates(cls)
             for start in set().union(*(holders(m) for m, _ in mates)):
                 v = cols.get(start) or {start: 1}
-                s = g.exp * sum(w * v.get(m, 0) for m, w in mates)
-                if not s:
-                    continue
-                if not fits:  # the image gains a key outside the window
-                    mask(start)
+                if not _transvect(v, cls, mates, g.exp):
                     continue
                 if start not in cols:
                     cols[start] = v
                     rows.setdefault(start, set()).add(start)
-                for k, c in cls.items():
-                    x = v.get(k, 0) + s * c
-                    if x:
-                        v[k] = x
+                for k in cls:
+                    if k in v:
                         rows.setdefault(k, set()).add(start)
                     else:
-                        del v[k]
                         rows[k].discard(start)
+                if not fits:  # the image gains a key outside the window
+                    mask(start)
             continue
         if isinstance(g, Shift):
             # genus W leaves off the attracting end, genus 1 of the other
@@ -452,20 +459,23 @@ def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
 
 
 def transvection_selftest() -> None:
-    """Pin the sign convention: the braid identity must hold exactly on a
-    symplectic pair, and transvections must preserve the pairing."""
-    a: Vec = {("a", 1): 1}
-    b: Vec = {("b", 1): 1}
+    """Pin the sign through ``word_matrix`` on Jacob's Ladder at window 2:
+    the twist about A[1] sends b_1 to b_1 - a_1, A[1] and B[1] braid and
+    preserve the pairing, and the twist about C[2] masks b_2 (its image holds a_3)."""
+    model = load_model("jacob")
+    basis = TruncatedBasis(model, 2)
+    a, b, c = (Twist(model.curve(f, i), 1) for f, i in (("A", 1), ("B", 1), ("C", 2)))
 
-    def tw(cls: Vec):
-        return lambda v: _twist_apply(v, cls, 1)
+    def matrix(*letters: Letter) -> IntMatrix:
+        return word_matrix(basis, Word(model, letters))
 
-    ta, tb = tw(a), tw(b)
-    for start in (a, b, {("a", 1): 2, ("b", 1): -3}):
-        lhs = ta(tb(ta(dict(start))))
-        rhs = tb(ta(tb(dict(start))))
-        if lhs != rhs:
-            raise AssertionError(f"braid identity failed at {start}: {lhs} != {rhs}")
-    u, v = ta(a), ta(b)
-    if pairing(u, v) != pairing(a, b):
-        raise AssertionError("transvection does not preserve the pairing")
+    got = matrix(a).cols[("b", 1)]
+    if got != {("a", 1): -1, ("b", 1): 1}:
+        raise AssertionError(f"the twist about A[1] sends b_1 to {_fmt_vec(basis, got)}, not B[1]-A[1]")
+    if matrix(a, b, a).cols != matrix(b, a, b).cols:
+        raise AssertionError("braid identity failed for A[1], B[1]")
+    if ("b", 2) in matrix(c).valid:
+        raise AssertionError("the twist about C[2] leaves b_2 valid, but its image leaves the window")
+    for m in (matrix(a).cols, matrix(b).cols):
+        if any(pairing(m[x], m[y]) != pairing({x: 1}, {y: 1}) for x in m for y in m):
+            raise AssertionError("transvection does not preserve the pairing")

@@ -5,7 +5,7 @@ a sequence of statements::
 
     MODEL sn
     PARAM n DEFAULT 17 PARITY odd MIN 17
-    CONVENTIONS 8c401d3e
+    CONVENTIONS 57069111
     COMPOSE rtl
 
     LET F1 = A[1] C[1] B[4] B~[6] C~[8] A'~[9] h[(n+1)/2+4,(n+1)/2+5]
@@ -35,7 +35,6 @@ a mismatch is a parse error.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,7 +44,7 @@ from .models import SurfaceModel
 from .words import MAX_LETTERS, Letter, Shift, Sym, Twist, Word, free_reduce, power
 
 CONVENTIONS_TEXT = "compose=rtl;conj(x,g)=g*x*inv(g);twists=right-handed;order=end,genus,A<A'<B<C"
-CONVENTIONS_ID = hashlib.sha256(CONVENTIONS_TEXT.encode()).hexdigest()[:8]
+CONVENTIONS_ID = "57069111"  # the first 8 hex digits of the SHA-256 of CONVENTIONS_TEXT
 
 _PRIMITIVES = {
     "sn": ("R", "rho1", "rho2", "tau"),
@@ -711,10 +710,6 @@ class _Parser:
 
 def parse(text: str, path: str = "<script>") -> ProofScript:
     return _Parser(text, path).parse()
-
-
-def print_script(script: ProofScript) -> str:
-    return script.text()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ involution exchanging them preserves the symplectic form, so no faithful
 assignment can separate them. Second, the transvection consequences
 (commuting matrices for pairing zero, the braid identity exactly for pairing
 one) are verified concretely on the support vectors of each adjacent pair.
+Both sweeps twist through ``homology._transvect``, the step the oracle
+kernel ``_push`` takes, and the sign self test runs ``_push`` itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .homology import Key, TruncatedBasis, _mate, _Relabel, _twist_apply, pairing, verify_identity_homology
+from .homology import Key, TruncatedBasis, _mate, _mates, _Relabel, _transvect, pairing, verify_identity_homology
 from .models import SurfaceModel
 from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
@@ -125,26 +127,28 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
         if model.intersection(c1, c2) == 0
     ]
 
-    def t(v, c, e=1):
-        return _twist_apply(v, c, e)
+    mates = {c: _mates(v) for c, v in cls.items()}
+
+    def t(key: Key, *labels) -> dict:
+        """The unit vector at ``key`` twisted about ``labels``, rightmost first."""
+        x = {key: 1}
+        for c in reversed(labels):
+            _transvect(x, cls[c], mates[c], 1)
+        return x
 
     for c1, c2 in adjacent:
         v1, v2 = cls[c1], cls[c2]
         for key in set(v1) | set(v2):
-            x = {key: 1}
-            lhs = t(t(t(x, v1), v2), v1)
-            rhs = t(t(t(x, v2), v1), v2)
             checked += 1
-            if lhs != rhs:
+            if t(key, c1, c2, c1) != t(key, c2, c1, c2):
                 issues.append(f"braid identity failed for {fmt(c1)},{fmt(c2)} at {key}")
-        if all(t(t({k: 1}, v1), v2) == t(t({k: 1}, v2), v1) for k in set(v1) | set(v2)):
+        if all(t(k, c2, c1) == t(k, c1, c2) for k in set(v1) | set(v2)):
             issues.append(f"matrices of {fmt(c1)},{fmt(c2)} commute despite i=1")
     for c1, c2 in sample_disjoint:
         v1, v2 = cls[c1], cls[c2]
         for key in set(v1) | set(v2):
-            x = {key: 1}
             checked += 1
-            if t(t(x, v1), v2) != t(t(x, v2), v1):
+            if t(key, c2, c1) != t(key, c1, c2):
                 issues.append(f"disjoint pair {fmt(c1)},{fmt(c2)} fails to commute at {key}")
 
     return SweepReport("homology sweep", checked, degenerate, tuple(issues))
@@ -167,11 +171,14 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
 
     for c in model.labels_in_window(window):
         cls = basis.class_of(c)
-        mates = sorted({k for key in cls for k in (key, _mate(key))})
-        units = [{x: 1} for x in mates]
-        images = [_twist_apply(u, cls, 1) for u in units]
-        for x, ux, mx in zip(mates, units, images):
-            for y, uy, my in zip(mates, units, images):
+        mates = _mates(cls)
+        keys = sorted({k for key in cls for k in (key, _mate(key))})
+        units = [{x: 1} for x in keys]
+        images = [{x: 1} for x in keys]
+        for image in images:
+            _transvect(image, cls, mates, 1)
+        for x, ux, mx in zip(keys, units, images):
+            for y, uy, my in zip(keys, units, images):
                 checked += 1
                 if pairing(mx, my) != pairing(ux, uy):
                     break

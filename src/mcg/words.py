@@ -90,10 +90,6 @@ def format_letter(model: SurfaceModel, g: Letter) -> str:
     return f"{g.name}{tilde}" + (f"^{mag}" if mag != 1 else "")
 
 
-def empty_word(model: SurfaceModel) -> Word:
-    return Word(model, ())
-
-
 def word(model: SurfaceModel, parts: Iterable[Letter]) -> Word:
     """Build a word, expanding twist/shift powers into unit letters."""
     out: list[Letter] = []

@@ -243,6 +243,13 @@ def test_normalize_matrix_grid(capsys):
     assert len(rows) == 10  # 2*(2*2+1) basis classes
 
 
+def test_normalize_matrix_window_one_prints_nothing(capsys):
+    assert main(["normalize", "A[1]", "--matrix", "--matrix-window", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: window must be at least 2\n"
+
+
 def _mask_clock(text: str) -> str:
     text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
     return re.sub(r'"wall_time_s": [0-9.]+', '"wall_time_s": 0', text)

@@ -9,20 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcg
+from mcg.cli import main
 from mcg.errors import UndefinedSymmetry
 from mcg.homology import (
     HomologyResult,
     TruncatedBasis,
     _fmt_vec,
     _support_bound,
-    _twist_apply,
     pairing,
     transvection_selftest,
     verify_identity_homology,
     word_matrix,
 )
 from mcg.sweeps import random_word
-from mcg.words import Shift, Sym, Twist, Word, empty_word, invert, word
+from mcg.words import Shift, Sym, Twist, Word, invert, word
 
 
 def tw(model, fam, *idx, exp=1):
@@ -33,8 +33,62 @@ def W(model, *parts):
     return word(model, parts)
 
 
+def _twist_apply(v, cls, exp):
+    """The transvection x -> x + exp <x, c> c on one vector, written
+    independently of the kernel's ``_transvect``: the reference the kernel
+    is checked against."""
+    s = pairing(v, cls)
+    if not s:
+        return v
+    out = dict(v)
+    for key, c in cls.items():
+        out[key] = out.get(key, 0) + exp * s * c
+        if not out[key]:
+            del out[key]
+    return out
+
+
 def test_selftest_passes():
     transvection_selftest()
+
+
+def test_selftest_fails_a_kernel_that_never_masks(monkeypatch):
+    monkeypatch.setattr(TruncatedBasis, "in_window", lambda self, key, reach=None: True)
+    with pytest.raises(AssertionError, match=r"the twist about C\[2\] leaves b_2 valid"):
+        transvection_selftest()
+
+
+def test_selfcheck_runs_the_oracle_kernel(monkeypatch, capsys):
+    calls = []
+    push = mcg.homology._push
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return push(*args, **kwargs)
+
+    monkeypatch.setattr(mcg.homology, "_push", counted)
+    assert main(["selfcheck"]) == 0
+    assert len(calls) > 0
+
+
+def test_selfcheck_fails_with_every_twist_inverted(monkeypatch, capsys):
+    # the braid identity and the pairing hold for either sign: only the
+    # self test's image of b_1 under the twist about A[1] tells them apart
+    step = mcg.homology._transvect
+
+    def flipped(v, cls, mates, exp):
+        return step(v, cls, mates, -exp)
+
+    monkeypatch.setattr(mcg.homology, "_transvect", flipped)
+    monkeypatch.setattr(mcg.sweeps, "_transvect", flipped)
+    with pytest.raises(AssertionError, match=r"sends b_1 to A\[1\]\+B\[1\], not B\[1\]-A\[1\]"):
+        transvection_selftest()
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("[ok]")] == [
+        "[FAIL] transvection sign convention self-test: "
+        "the twist about A[1] sends b_1 to A[1]+B[1], not B[1]-A[1]"
+    ]
 
 
 def _identity_on_valid(m):
@@ -145,7 +199,7 @@ def test_shift_times_inverse_identity_on_interior(sn16):
 
 def test_word_matrix_empty_word(sn16):
     basis = TruncatedBasis(sn16, 3)
-    m = word_matrix(basis, empty_word(sn16))
+    m = word_matrix(basis, Word(sn16, ()))
     assert m.valid == frozenset(basis.keys())
     assert _identity_on_valid(m)
 
@@ -183,14 +237,14 @@ def test_verify_identity_thmC_window20(jacob):
 
 
 def test_verify_refutes_single_twist(sn16):
-    res = verify_identity_homology(W(sn16, tw(sn16, "A", 1, 1)), empty_word(sn16), 6)
+    res = verify_identity_homology(W(sn16, tw(sn16, "A", 1, 1)), Word(sn16, ()), 6)
     assert res.status == "Refuted"
     assert "B[1,1]" in res.witness
 
 
 def test_verify_inconclusive_when_window_too_small(jacob):
     w = word(jacob, [Sym("tau2", 1), Sym("tau1", 1)] * 7)  # translation by 7
-    res = verify_identity_homology(w, empty_word(jacob), 3)
+    res = verify_identity_homology(w, Word(jacob, ()), 3)
     assert res.status == "Inconclusive"
 
 
@@ -347,7 +401,7 @@ def test_symmetry_without_label_action_is_inconclusive(sn17):
     with pytest.raises(UndefinedSymmetry) as exc:
         sn17.automorphism("tau")
     w = W(sn17, tw(sn17, "A", 1, 1), Sym("tau", 1), tw(sn17, "B", 1, 2))
-    res = verify_identity_homology(w, empty_word(sn17), 6)
+    res = verify_identity_homology(w, Word(sn17, ()), 6)
     assert res.status == "Inconclusive"
     assert str(res) == f"Inconclusive(0/0 columns) [{exc.value}]"
     with pytest.raises(UndefinedSymmetry, match=re.escape(str(exc.value))):

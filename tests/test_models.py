@@ -230,7 +230,13 @@ def test_loch_ness_issues_name_printed_labels(monkeypatch, lochness):
         "equivariance: tau1: i(B[-1], x) not preserved near ['A[1]']",
         "equivariance: tau1: i(B[1], x) not preserved near ['A[-1]']",
     ]
-    monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
+
+    def double(v, cls, mates, exp):
+        for k in v:
+            v[k] *= 2
+        return 1
+
+    monkeypatch.setattr(mcg.sweeps, "_transvect", double)
     named = [i.split(" breaks the pairing at ")[0] for i in pairing_preservation_sweep(lochness, 1).issues]
     printed = ("A[-2]", "A[-1]", "A[1]", "B[-2]", "B[-1]", "B[1]", "C[-1]", "C[0]", "C[1]")
     assert named == [f"twist about {x}" for x in printed]

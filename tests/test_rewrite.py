@@ -18,7 +18,7 @@ from mcg.rewrite import (
     split_symmetries,
 )
 from mcg.sweeps import random_word
-from mcg.words import Shift, Sym, Twist, Word, empty_word, invert, invert_letter, word
+from mcg.words import Shift, Sym, Twist, Word, invert, invert_letter, word
 
 
 def tw(model, fam, *idx, exp=1):
@@ -146,7 +146,7 @@ def test_braid_move_blocked_by_interleaved_letter(sn17):
 
 
 def test_equivalent_distinct_by_projection(sn17):
-    v = equivalent(W(sn17, Sym("R", 1)), empty_word(sn17))
+    v = equivalent(W(sn17, Sym("R", 1)), Word(sn17, ()))
     assert v.kind == "ProvedDistinct"
     assert v.oracle == "projection"
 
@@ -402,5 +402,5 @@ def test_proved_equal_stable_under_rotation(sn17, seed):
     g = random_word(sn17, rng, 2)
     w2 = g * w1 * invert(g)
     if equivalent(w1, w2, 4000, oracles=False).kind == "ProvedEqual":
-        rotated = equivalent(invert(w2) * w1, empty_word(sn17), 4000, oracles=False)
+        rotated = equivalent(invert(w2) * w1, Word(sn17, ()), 4000, oracles=False)
         assert rotated.kind == "ProvedEqual"

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from importlib import resources
 
@@ -9,6 +10,7 @@ from mcg.errors import McgError, ParseError, Redefinition, UndefinedName
 from mcg.modelfile import builtin_model_text, parse_model_text
 from mcg.script import (
     CONVENTIONS_ID,
+    CONVENTIONS_TEXT,
     ECurve,
     EConj,
     EGroup,
@@ -21,11 +23,14 @@ from mcg.script import (
     INum,
     eval_word,
     parse,
-    print_script,
 )
 from mcg.words import MAX_LETTERS, Shift, Sym, Twist, Word, invert, word
 
 HEADER = f"MODEL sn\nPARAM n DEFAULT 17\nCONVENTIONS {CONVENTIONS_ID}\n"
+
+
+def test_conventions_id_is_the_checksum_of_the_conventions_text():
+    assert CONVENTIONS_ID == hashlib.sha256(CONVENTIONS_TEXT.encode()).hexdigest()[:8]
 
 
 def test_parse_simple_let():
@@ -97,10 +102,10 @@ def test_round_trip_shipped_scripts():
     for name in ("thmA", "thmB", "thmC", "thmD"):
         text = resources.files("mcg.data.scripts").joinpath(name + ".mcg").read_text()
         s1 = parse(text, name)
-        s2 = parse(print_script(s1), name)
+        s2 = parse(s1.text(), name)
         assert s1.key() == s2.key()
         # printing is a fixpoint
-        assert print_script(s1) == print_script(s2)
+        assert s1.text() == s2.text()
 
 
 def test_round_trip_preserves_statement_count():

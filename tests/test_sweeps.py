@@ -6,6 +6,14 @@ import mcg.sweeps
 from mcg import load_model
 from mcg.sweeps import homology_property_sweep, pairing_preservation_sweep
 
+
+def _double(v, cls, mates, exp):
+    """A broken twist step: doubles every entry of ``v`` in place."""
+    for k in v:
+        v[k] *= 2
+    return 1
+
+
 # checked counts at window 12: pairing preservation, homology sweep
 WINDOW_12 = {
     ("sn", 16): (6976, 4137),
@@ -29,7 +37,7 @@ def test_pairing_sweep_reports_a_twist_that_breaks_the_form(monkeypatch, jacob):
     # doubling every image scales each pairing by 4: for every label, the
     # first key of the checked set breaks the form with its mate, and the
     # sweep reports that first pair once per label
-    monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
+    monkeypatch.setattr(mcg.sweeps, "_transvect", _double)
     rep = pairing_preservation_sweep(jacob, 2)
     assert not rep.ok
     assert rep.issues[:2] == (
@@ -43,9 +51,13 @@ def test_pairing_sweep_reports_a_twist_that_breaks_the_form(monkeypatch, jacob):
 def test_pairing_sweep_stops_at_the_issue_cap(monkeypatch, sn16):
     # S(16) at window 12 has 784 labels whose twists all break the form;
     # the sweep stops after 25 issues, each naming a different label
-    monkeypatch.setattr(mcg.sweeps, "_twist_apply", lambda v, cls, exp: {k: 2 * c for k, c in v.items()})
+    monkeypatch.setattr(mcg.sweeps, "_transvect", _double)
     rep = pairing_preservation_sweep(sn16, 12)
     assert len(sn16.labels_in_window(12)) == 784
     assert len(rep.issues) == 26
     named = [i.split(" breaks the pairing at ")[0] for i in rep.issues]
     assert named == [f"twist about {c}" for c in sn16.labels_in_window(12)[:26]]
+
+
+def test_sweeps_twist_through_the_oracle_step():
+    assert mcg.sweeps._transvect is mcg.homology._transvect
