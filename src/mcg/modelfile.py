@@ -16,6 +16,11 @@ compile to ``models.Symmetry`` records::
     sym rho1 end j -> 2-j swap
     sym tau perm (1 2)
 
+Each kind takes one sort of map: ``end`` maps (variable ``j``) on ``sn``,
+``chain`` maps (variable ``k``) on ``jacob`` and ``lochness``; ``perm``
+lines fit every kind. ``lochness`` has no A' family, so its maps cannot
+``swap``.
+
 ``alias`` lines name products of the symmetries and aliases declared above
 them (the distinguished handle shift of the chain models), stored expanded
 to primitive symmetries::
@@ -185,8 +190,13 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
                     raise ModelFileError(str(e), path, lineno) from None
                 symmetries[name] = Symmetry(None, perm.images)
                 continue
+            if (sort == "end") != (kind == "sn"):
+                takes = "end maps" if kind == "sn" else "chain maps"
+                raise ModelFileError(f"sym {sort} maps do not apply to kind {kind}, which takes {takes}", path, lineno)
             swap = False
             if spec.endswith("swap"):
+                if kind == "lochness":
+                    raise ModelFileError("kind lochness has no A' family, so its sym maps cannot swap", path, lineno)
                 swap, spec = True, spec[: -len("swap")].strip()
             mm = re.match(r"^([a-z])\s*->\s*(.+)$", spec)
             if not mm:

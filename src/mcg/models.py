@@ -289,7 +289,7 @@ class SurfaceModel:
                 if end is None:
                     continue
                 p = CurveLabel(adj.partner, genus, self._norm_end(end))
-            if p != c and self.is_valid_curve(p) and frozenset((c, p)) not in self.removed:
+            if p != c and self.is_valid_curve(p) and not (self.removed and frozenset((c, p)) in self.removed):
                 out.add(p)
         return frozenset(out)
 
@@ -355,30 +355,46 @@ class SurfaceModel:
     def validate(self, window: int) -> ValidationReport:
         """Exhaustively police the model data inside a genus window.
 
-        Checks that the intersection table is symmetric (each neighbour of
-        every label in the window has that label as a neighbour; values in
-        {0, 1} and zero self intersection hold by construction), the
-        equivariance of every label-acting symmetry, the declared orders (R
-        to the n-th power, squares of the half-turns), and the sign
-        bookkeeping of shift conjugation.
+        Checks, for every label in the window, that the intersection table
+        is symmetric (each neighbour of the label has the label as a
+        neighbour; values in {0, 1} and zero self intersection hold by
+        construction) and that every label-acting symmetry carries the
+        label's neighbours onto the neighbours of its image. Then the
+        declared orders (R to the n-th power, squares of the half-turns) and
+        the sign bookkeeping of shift conjugation. Issues come in that
+        order, and the report returns as soon as an equivariance issue
+        makes them more than 40.
+
+        Each call reads ``neighbors`` once per label into one neighbour
+        table (the window's labels and their neighbours, plus images outside
+        it as they come up) and builds one image map per label-acting
+        symmetry over the window's labels and their neighbours.
         """
         issues: list[ValidationIssue] = []
         labels = self.labels_in_window(window)
 
         fmt = self.format_curve
+        near = {c: self.neighbors(c) for c in labels}
         for c in labels:
-            for x in self.neighbors(c):
-                if c not in self.neighbors(x):
+            for x in near[c]:
+                back = near.get(x)
+                if back is None:
+                    back = near[x] = self.neighbors(x)
+                if c not in back:
                     a, b = fmt(c), fmt(x)
                     issues.append(ValidationIssue("symmetry", f"i({a},{b})=1 but i({b},{a})=0"))
 
+        domain = tuple(near)  # the window's labels and their neighbours
         affine = {nm: sym.action for nm, sym in self.symmetries.items() if sym.action is not None}
         for nm, aut in affine.items():
             # equivariance: the neighbour relation is carried onto itself
+            image = {c: aut.act_curve(c) for c in domain}
             for c in labels:
-                img = aut.act_curve(c)
-                want = {aut.act_curve(x) for x in self.neighbors(c)}
-                got = set(self.neighbors(img))
+                img = image[c]
+                want = {image[x] for x in near[c]}
+                got = near.get(img)
+                if got is None:
+                    got = near[img] = self.neighbors(img)
                 if want != got:
                     diff = (want ^ got) or {img}
                     detail = f"{nm}: i({fmt(c)}, x) not preserved near {sorted(map(fmt, diff))}"

@@ -173,14 +173,16 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
         cls = basis.class_of(c)
         mates = _mates(cls)
         keys = sorted({k for key in cls for k in (key, _mate(key))})
-        units = [{x: 1} for x in keys]
         images = [{x: 1} for x in keys]
         for image in images:
             _transvect(image, cls, mates, 1)
-        for x, ux, mx in zip(keys, units, images):
-            for y, uy, my in zip(keys, units, images):
+        for x, mx in zip(keys, images):
+            # the unit pairing <x, y>: +1 at y = b_x for x = a_x, -1 at
+            # y = a_x for x = b_x, 0 elsewhere
+            mate, unit = _mate(x), 1 if x[0] == "a" else -1
+            for y, my in zip(keys, images):
                 checked += 1
-                if pairing(mx, my) != pairing(ux, uy):
+                if pairing(mx, my) != (unit if y == mate else 0):
                     break
             else:
                 continue

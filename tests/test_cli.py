@@ -81,6 +81,16 @@ def test_permutation_point_above_n_reports_position(tmp_path, capsys):
     assert "bad.model:2" in err and "above n=17" in err
 
 
+
+def test_swap_on_the_one_ended_model_reports_position(tmp_path, capsys):
+    bad = tmp_path / "lochness.model"
+    text = builtin_model_text("lochness")
+    line = text.splitlines().index("sym tau2 chain k -> -k") + 1
+    bad.write_text(text.replace("sym tau2 chain k -> -k", "sym tau2 chain k -> -k swap"))
+    assert main(["selfcheck", "--model-file", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: " in err and "no A' family" in err
+
 # one more digit than Python converts by default (sys.get_int_max_str_digits)
 HUGE = "9" * 5000
 

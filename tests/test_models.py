@@ -9,7 +9,7 @@ from mcg import intersection_number, load_model, validate_model
 from mcg.errors import InvalidLabel, ModelFileError, UndefinedSymmetry
 from mcg.labels import CurveLabel
 from mcg.modelfile import builtin_model_text, parse_model_text
-from mcg.models import Automorphism
+from mcg.models import Automorphism, ValidationIssue, ValidationReport
 from mcg.sweeps import homology_property_sweep, pairing_preservation_sweep
 from mcg.words import Sym
 
@@ -157,6 +157,28 @@ def test_unbalanced_adjacency_rule_reports_position():
         parse_model_text("kind jacob\nadj A[k] B[3]\n", path="bad.model")
     assert err.value.line == 2 and "genus" in str(err.value)
 
+
+
+# a sym line each kind must reject, put in place of a shipped line, and the
+# words of its error
+SYM_MISFITS = [
+    ("lochness", "sym tau2 chain k -> -k", "sym tau2 chain k -> -k swap", "no A' family"),
+    ("jacob", "sym tau1 chain k -> 1-k", "sym tau1 end j -> 1-j", "sym end maps do not apply to kind jacob"),
+    ("lochness", "sym tau1 chain k -> 1-k", "sym tau1 end j -> 1-j", "sym end maps do not apply to kind lochness"),
+    ("sn", "sym R end j -> j+1", "sym R chain k -> k+1", "sym chain maps do not apply to kind sn"),
+]
+
+
+@pytest.mark.parametrize("kind, line, misfit, words", SYM_MISFITS)
+def test_sym_line_must_fit_the_kind(kind, line, misfit, words):
+    text = builtin_model_text(kind)
+    lines = text.splitlines()
+    at = lines.index(line) + 1
+    parse_model_text(text, n=17, path=f"{kind}.model")
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text.replace(line, misfit), n=17, path=f"{kind}.model")
+    assert err.value.line == at and words in err.value.message
+    assert str(err.value).startswith(f"{kind}.model:{at}: ")
 
 # printed neighbour sets at the edges of the adjacency rules: the
 # constant-genus gap rule across the end wrap and read backwards, the chain
@@ -307,3 +329,80 @@ def test_huge_exponent_is_closed_form(sn17):
     assert time.perf_counter() - t0 < 1.0  # the loop it replaces ran for minutes
     assert big == sn17.automorphism_of_word([("R", 10**9 % 17)])
     assert sn17.automorphism_of_word([("rho1", -(10**9) - 1)]) == sn17.automorphism("rho1")
+
+
+def _validate_reference(model, window):
+    """``SurfaceModel.validate`` label by label: each label's neighbours and
+    each symmetry image are computed again wherever they are needed."""
+    issues = []
+    labels = model.labels_in_window(window)
+
+    fmt = model.format_curve
+    for c in labels:
+        for x in model.neighbors(c):
+            if c not in model.neighbors(x):
+                a, b = fmt(c), fmt(x)
+                issues.append(ValidationIssue("symmetry", f"i({a},{b})=1 but i({b},{a})=0"))
+
+    affine = {nm: sym.action for nm, sym in model.symmetries.items() if sym.action is not None}
+    for nm, aut in affine.items():
+        for c in labels:
+            img = aut.act_curve(c)
+            want = {aut.act_curve(x) for x in model.neighbors(c)}
+            got = set(model.neighbors(img))
+            if want != got:
+                diff = (want ^ got) or {img}
+                detail = f"{nm}: i({fmt(c)}, x) not preserved near {sorted(map(fmt, diff))}"
+                issues.append(ValidationIssue("equivariance", detail))
+                if len(issues) > 40:
+                    return ValidationReport(model.describe(), window, len(labels), tuple(issues))
+
+    for nm, aut in affine.items():
+        if nm == "R":
+            if not aut.power(model.n).is_identity():
+                issues.append(ValidationIssue("order", f"R^{model.n} is not the identity"))
+        else:
+            if not aut.compose(aut).is_identity():
+                issues.append(ValidationIssue("order", f"{nm}^2 is not the identity on labels"))
+
+    if model.kind == "sn":
+        h, s = model.shift(1, 2)
+        for nm, aut in affine.items():
+            if aut.u != -1:
+                continue
+            h1, s1 = aut.act_shift(h, s)
+            h2, s2 = aut.act_shift(h1, s1)
+            if (h2, s2) != (h, s):
+                issues.append(ValidationIssue("shift", f"{nm} applied twice moved {h}"))
+
+    return ValidationReport(model.describe(), window, len(labels), tuple(issues))
+
+
+SHIPPED = [("sn", 16), ("sn", 17), ("jacob", None), ("lochness", None)]
+# one adjacency instance deleted from each shipped model, as printed indices
+DELETED = {"sn": (("A", 1, 5), ("B", 1, 5)), "jacob": (("A", 1), ("B", 1)), "lochness": (("A", -1), ("B", -1))}
+WINDOWS = [1, 2, 3, 4, 5, 6, 20]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("kind, n", SHIPPED)
+def test_validate_equals_the_label_by_label_reference(kind, n, window):
+    model = load_model(kind, n)
+    c1, c2 = DELETED[kind]
+    broken = model.without_adjacency(model.curve(*c1), model.curve(*c2))
+    for m, ok in ((model, True), (broken, False)):
+        report = m.validate(window)
+        assert report == _validate_reference(m, window) and report.ok == ok
+
+
+# an added rule that only strand 1 obeys: every symmetry moving strand 1
+# breaks equivariance there, 11 issues per genus until the cap from window 4
+ONE_STRAND_RULE = "adj A[i,1] C[i,1]"
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_validate_equals_the_reference_up_to_the_issue_cap(window):
+    model = parse_model_text(builtin_model_text("sn") + ONE_STRAND_RULE + "\n", n=17)
+    report = model.validate(window)
+    assert report == _validate_reference(model, window)
+    assert len(report.issues) == {1: 11, 2: 22, 3: 33}.get(window, 41)
