@@ -1,9 +1,9 @@
 """Command-line entry point: verify, selfcheck, shiftmap, project, normalize.
 
 Exit codes: 0 all checks passed, 1 an assertion or property failed (Unknown
-verdicts included), 2 configuration, parse or model errors. The rewrite
-budget is the ``--budget`` flag, else the MCG_BUDGET environment variable,
-else a script's BUDGET line, else 100000.
+verdicts and ``error`` rows, such as a word over the window, included), 2
+configuration, parse or model errors. The rewrite budget (``--budget``, else
+MCG_BUDGET, else a script's BUDGET line, else 100000) bounds every search.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     if args.window < 2:
         print("error: window below displacement bound (need >= 2)", file=sys.stderr)
         return 2
+    # a bad model file fails before anything is printed
+    if args.model_file:
+        models = [parse_model_file(args.model_file, n=args.n)]
+    else:
+        models = [load_model("sn", 16), load_model("sn", 17), load_model("jacob"), load_model("lochness")]
     failures = 0
 
     def run(title: str, ok: bool, detail: str = "") -> None:
@@ -115,11 +120,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         run("transvection sign convention self-test", True)
     except AssertionError as e:
         run("transvection sign convention self-test", False, str(e))
-
-    if args.model_file:
-        models = [parse_model_file(args.model_file, n=args.n)]
-    else:
-        models = [load_model("sn", 16), load_model("sn", 17), load_model("jacob"), load_model("lochness")]
 
     for model in models:
         rep = model.validate(args.window)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None, help="end count for sn scripts")
     v.add_argument(
         "--budget", type=int, default=None,
-        help="rewrite applications per assertion (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
+        help="rewrite applications per search, LET reductions included (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
     )
     v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="homology truncation window")
     v.add_argument("--format", choices=("text", "json"), default="text")

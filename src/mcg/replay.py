@@ -135,7 +135,9 @@ def replay(
     window: int = DEFAULT_WINDOW,
     model: SurfaceModel | None = None,
 ) -> ReplayReport:
-    """Run a parsed script; failures do not stop execution."""
+    """Run a parsed script, every engine call under ``budget``; failures do
+    not stop execution: a statement that raises an ``McgError`` (a word over
+    the window too) is an ``error`` row, and a failed ``LET`` binds nothing."""
     n = n if n is not None else script.default_n()
     if script.param is not None:
         msg = script.param.check(n)
@@ -159,10 +161,7 @@ def replay(
             if isinstance(stmt, SLet):
                 w = eval_word(stmt.expr, ctx)
                 _check_window(w, window)
-                # binding reduction is internal representation management,
-                # not an assertion: give it a working floor so a starved
-                # assertion budget cannot snowball the bound names
-                red = normalize(w, max(budget, DEFAULT_BUDGET))
+                red = normalize(w, budget)
                 if not red.normalized:
                     res.witness = f"reduction budget exhausted; kept unreduced ({len(w)} letters)"
                 w = ctx.env[stmt.name] = red.word
@@ -177,7 +176,7 @@ def replay(
                 if res.ok:
                     # both sides are proved equal; the right side is the
                     # compact display form, keep that one
-                    proved.append((f"eq@{stmt.line}", reduce_word(right, max(budget, DEFAULT_BUDGET))))
+                    proved.append((f"eq@{stmt.line}", reduce_word(right, budget)))
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
                 _check_window(w, window)
@@ -208,8 +207,6 @@ def replay(
                 res.witness = "; ".join(hits if not misses else ["missing: " + ", ".join(misses)])
             else:
                 raise McgError(f"unhandled statement {stmt!r}")
-        except WindowTooSmall as e:
-            raise WindowTooSmall(f"{script.path}, line {stmt.line}: {e}") from None
         except McgError as e:
             res.verdict, res.ok, res.witness = "error", False, str(e)
         res.wall_ms = (time.perf_counter() - t0) * 1000

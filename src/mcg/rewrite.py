@@ -390,13 +390,10 @@ def _neighbors(ctx: _Ctx, w: tuple[int, ...]) -> Iterator[tuple[str, list[int]]]
 
 
 def _search(
-    ctx: _Ctx,
-    start: tuple[int, ...],
-    budget: Budget,
-    stop_at_empty: bool,
+    ctx: _Ctx, start: tuple[int, ...], budget: Budget
 ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Best-first search over canonical forms. Returns the best form reached
-    (the empty word if stop_at_empty succeeded) and the move trace to it."""
+    """Best-first search over canonical forms. Returns the empty word as soon
+    as it is reached, else the best form reached, and the move trace to it."""
     keys = ctx.keys
     counter = itertools.count()
     seen: dict[tuple[int, ...], tuple | None] = {start: None}
@@ -411,12 +408,12 @@ def _search(
             if new in seen:
                 continue
             seen[new] = (cur, desc)
+            if not new:
+                return new, _trace(seen, new)
             if len(new) <= best_rank[0]:
                 rank = (len(new), tuple(keys[g] for g in new))
                 if rank < best_rank:
                     best, best_rank = new, rank
-            if stop_at_empty and not new:
-                return new, _trace(seen, new)
             heapq.heappush(heap, (len(new), next(counter), new))
     return best, _trace(seen, best)
 
@@ -430,7 +427,7 @@ def _trace(seen: dict, node: tuple) -> tuple[str, ...]:
 
 
 def _decide(
-    model: SurfaceModel, letters: Sequence[Letter], budget: Budget, stop_at_empty: bool
+    model: SurfaceModel, letters: Sequence[Letter], budget: Budget
 ) -> tuple[tuple[Letter, ...], tuple[str, ...]]:
     """Commutation-canonical form, then the braid search from it. Returns
     the form reached and its move trace; a word that the canonical form
@@ -439,7 +436,7 @@ def _decide(
     start = _canonical(ctx, [ctx.num[g] for g in letters], budget)
     if not start:
         return (), ("canonical",)
-    form, trace = _search(ctx, start, budget, stop_at_empty)
+    form, trace = _search(ctx, start, budget)
     return tuple(ctx.letters[g] for g in form), trace
 
 
@@ -472,7 +469,7 @@ def normalize(w: Word, budget: int = DEFAULT_BUDGET) -> NormalizeResult:
         except UndefinedSymmetry:
             form = canonical(model, list(w.letters), b)
             return NormalizeResult(True, Word(model, form), ("symmetry-blocked",), b.spent)
-        form, trace = _decide(model, core, b, stop_at_empty=False)
+        form, trace = _decide(model, core, b)
         tail_letters = () if aut.is_identity() else tuple(tail)
         return NormalizeResult(True, Word(model, form + tail_letters), trace, b.spent)
     except BudgetExhausted:
@@ -500,7 +497,7 @@ def equivalent(
     try:
         core, aut, _tail = split_symmetries(w)
         if aut.is_identity():
-            form, found = _decide(model, core, b, stop_at_empty=True)
+            form, found = _decide(model, core, b)
             if not form:
                 trace = found
         else:

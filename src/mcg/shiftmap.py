@@ -23,6 +23,7 @@ from typing import Iterable
 from .errors import McgError
 
 Rational = Fraction | int
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,9 @@ def strip_point(x: Rational, y: Rational) -> StripPoint:
 
 def handle_shift_point(p: StripPoint) -> StripPoint:
     """One application of the shift, exact on rationals."""
-    half = Fraction(1, 2)
-    if -half <= p.y <= half:
+    if -_HALF <= p.y <= _HALF:
         return StripPoint(p.x + 1, p.y)
-    if p.y > half:
+    if p.y > _HALF:
         return StripPoint(p.x + 2 - 2 * p.y, p.y)
     return StripPoint(p.x + 2 + 2 * p.y, p.y)
 
@@ -75,36 +75,29 @@ def _sample_rows(samples: int) -> Iterable[Fraction]:
 
 
 def check_shift_properties(samples: int = 24) -> ShiftCheckReport:
-    """Branch agreement at the seams, fixed boundary rows, unit displacement
-    on the core band, strict monotonicity in x on every sampled row."""
+    """Seam agreement of the evaluated branches, fixed boundary rows, unit
+    displacement on the core band, strict monotonicity in x on every row."""
     if samples < 1:
         raise McgError("samples must be >= 1")
     findings: list[str] = []
     run = 0
-    half = Fraction(1, 2)
     xs = [Fraction(k, 3) for k in range(-9, 10)]
 
-    # seam agreement is an identity in x: check on the sample line
+    # the boundary rows are fixed, and the damped branch, affine in y, meets
+    # the core at the seam: 2 h(x, 3/4) - h(x, 1) = h(x, 1/2), and below
+    sides = ((_HALF, Fraction(3, 4), Fraction(1)), (-_HALF, Fraction(-3, 4), Fraction(-1)))
     for x in xs:
-        run += 2
-        upper_core = x + 1
-        upper_damp = x + 2 - 2 * half
-        if upper_core != upper_damp:
-            findings.append(f"seam y=1/2 at x={x}: {upper_core} != {upper_damp}")
-        lower_core = x + 1
-        lower_damp = x + 2 + 2 * (-half)
-        if lower_core != lower_damp:
-            findings.append(f"seam y=-1/2 at x={x}: {lower_core} != {lower_damp}")
-
-    for x in xs:
-        run += 2
-        for y in (Fraction(1), Fraction(-1)):
-            img = handle_shift_point(StripPoint(x, y))
-            if img != StripPoint(x, y):
-                findings.append(f"boundary row y={y} moved: ({x},{y}) -> {img}")
+        for seam, near_y, edge_y in sides:
+            run += 2
+            core, near, edge = (handle_shift_point(StripPoint(x, y)) for y in (seam, near_y, edge_y))
+            if edge != StripPoint(x, edge_y):
+                findings.append(f"boundary row y={edge_y} moved: ({x},{edge_y}) -> {edge}")
+            damp = 2 * near.x - edge.x
+            if core.x != damp:
+                findings.append(f"seam y={seam} at x={x}: {core.x} != {damp}")
 
     for y in _sample_rows(samples):
-        if abs(y) <= half:
+        if abs(y) <= _HALF:
             run += 1
             img = handle_shift_point(StripPoint(Fraction(0), y))
             if img.x != 1:

@@ -34,12 +34,20 @@ def test_verify_missing_script_exit_two(capsys):
     assert main(["verify", "no-such-file.mcg"]) == 2
 
 
-def test_verify_window_too_small_exit_two(capsys):
-    assert main(["verify", "thmA", "--n", "17", "--window", "4"]) == 2
-    err = capsys.readouterr().err
-    assert "displacement" in err
-    # the script and line that failed, and the word cut short
-    assert "thmA.mcg" in err and "line" in err and len(err) < 200
+def test_verify_window_too_small_is_an_error_row_exit_one(capsys):
+    # a word over the window fails its own statement; the run goes on and
+    # prints the full report
+    assert main(["verify", "thmA", "--n", "17", "--window", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "RESULT FAIL" in out and "OVERALL FAIL" in out
+    lines = out.splitlines()
+    assert sum(line.startswith("  [") for line in lines) == 67
+    first = next(i for i, line in enumerate(lines) if line.startswith("  [") and " FAIL " in line)
+    assert lines[first].split()[:4] == ["[", "36]", "FAIL", "error"]
+    # the word cut short, its displacement bound and the window it needs
+    witness = lines[first + 1]
+    assert "below the displacement bound 8 of" in witness and "..." in witness
+    assert witness.endswith("it needs a window of at least 8") and len(witness) < 200
 
 
 @pytest.mark.parametrize("n", [1, 0])
@@ -88,8 +96,10 @@ def test_swap_on_the_one_ended_model_reports_position(tmp_path, capsys):
     line = text.splitlines().index("sym tau2 chain k -> -k") + 1
     bad.write_text(text.replace("sym tau2 chain k -> -k", "sym tau2 chain k -> -k swap"))
     assert main(["selfcheck", "--model-file", str(bad)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert f"{bad}:{line}: " in err and "no A' family" in err
+    # the model file is read before any check runs or prints
+    assert out == ""
 
 # one more digit than Python converts by default (sys.get_int_max_str_digits)
 HUGE = "9" * 5000

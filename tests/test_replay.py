@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 import mcg.replay
 import mcg.rewrite
-from mcg.errors import McgError, WindowTooSmall
+from mcg.errors import McgError
 from mcg.homology import HomologyResult
 from mcg.replay import replay
 from mcg.script import CONVENTIONS_ID, parse
@@ -107,10 +108,9 @@ def test_starved_budget_gives_unknowns():
     assert rep.unknowns
 
 
-def test_starved_let_reduction_says_it_kept_the_word(monkeypatch):
-    # a binding whose reduction runs out of budget keeps its unreduced word
-    # and says so, instead of passing silently
-    monkeypatch.setattr(mcg.replay, "DEFAULT_BUDGET", 1)
+def test_starved_let_reduction_says_it_kept_the_word():
+    # a binding whose reduction runs out of the run's budget keeps its
+    # unreduced word and says so, instead of passing silently
     text = "MODEL jacob\nLET x = A[1] B[1] A[1] B[1] A~[1] B~[1]\nLET y = A[1] A~[1]\n"
     rep = replay(parse(text, "starved.mcg"), budget=1)
     x, y = rep.statements
@@ -120,9 +120,18 @@ def test_starved_let_reduction_says_it_kept_the_word(monkeypatch):
     assert y.witness == "" and len(rep.env["y"]) == 0
 
 
-def test_window_below_displacement_aborts():
-    with pytest.raises(WindowTooSmall):
-        replay(load("thmA"), n=17, window=5)
+def test_window_below_displacement_is_an_error_row():
+    # the statement whose word is over the window fails with the bound it
+    # needs, its LET name stays unbound, and every later row is still there
+    rep = replay(load("thmA"), n=17, window=5)
+    assert len(rep.statements) == 67 and not rep.passed
+    first = rep.failures[0]
+    assert (first.line, first.kind, first.verdict) == (36, "Let", "error")
+    assert first.witness.startswith("window 5 is below the displacement bound 8 of")
+    assert first.witness.endswith("it needs a window of at least 8")
+    assert "F3" not in rep.env
+    uses = [s for s in rep.failures if "'F3' has no value" in s.witness]
+    assert uses and all(s.line > 36 for s in uses)
 
 
 def test_every_passing_assert_is_oracle_consistent():
@@ -200,3 +209,35 @@ def test_rows_are_uniform_in_n():
         }
         assert all(rows[n] == rows[ns[0]] for n in ns), name
         assert all(verdict not in ("Unknown", "error") for _, verdict, _, _ in rows[ns[0]])
+
+
+def without_minimum(script):
+    return dataclasses.replace(script, param=dataclasses.replace(script.param, minimum=None))
+
+
+@pytest.mark.parametrize(
+    "name, n, rows, line, statement",
+    [
+        ("thmA", 15, 67, 46, "ASSERT_EQ F7 = A[1] C[1] C[3] C~[5] C~[8]"),
+        ("thmB", 12, 71, 31, "ASSERT_EQ F3 = A[1] C[1] C[3] B~[5] B~[7]"),
+    ],
+    ids=["thmA-15", "thmB-12"],
+)
+def test_first_statement_that_breaks_below_the_minimum(name, n, rows, line, statement):
+    # below MIN the replay runs to its end under a small budget, and the
+    # first row that is not ok is an identity the homology oracle refutes
+    rep = replay(without_minimum(load(name)), n=n, budget=100)
+    assert len(rep.statements) == rows
+    first = rep.failures[0]
+    assert (first.line, first.verdict) == (line, "ProvedDistinct")
+    assert first.statement.startswith(statement)
+    assert first.oracle.startswith("Refuted")
+
+
+def test_thmB_rows_at_n_14_are_those_at_16():
+    script = without_minimum(load("thmB"))
+    rows = {
+        n: [(s.kind, s.verdict, s.budget_used, s.witness) for s in replay(script, n=n, budget=100).statements]
+        for n in (14, 16)
+    }
+    assert rows[14] == rows[16]

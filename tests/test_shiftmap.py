@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mcg.shiftmap
 from mcg.errors import McgError
-from mcg.shiftmap import check_shift_properties, handle_shift_point, strip_point
+from mcg.shiftmap import StripPoint, check_shift_properties, handle_shift_point, strip_point
 
 
 def test_core_band_translates_by_one():
@@ -32,6 +33,21 @@ def test_check_report_clean():
     report = check_shift_properties()
     assert report.ok, str(report)
     assert report.checks_run > 100
+
+
+def test_seam_jump_is_caught(monkeypatch):
+    # damping x + 4 - 4y on [1/2, 1] still fixes the boundary row and is
+    # monotone, but jumps from x + 1 to x + 2 at y = 1/2
+    def mutant(p):
+        if p.y > Fraction(1, 2):
+            return StripPoint(p.x + 4 - 4 * p.y, p.y)
+        return handle_shift_point(p)
+
+    monkeypatch.setattr(mcg.shiftmap, "handle_shift_point", mutant)
+    report = check_shift_properties()
+    assert report.checks_run == 150
+    assert not report.ok
+    assert all(f.startswith("seam y=1/2 at x=") for f in report.findings)
 
 
 rationals = st.fractions(min_value=-5, max_value=5)
