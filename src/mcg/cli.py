@@ -15,13 +15,13 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import McgError
-from .homology import TruncatedBasis, transvection_selftest, word_matrix
+from .homology import DEFAULT_WINDOW, TruncatedBasis, check_window, transvection_selftest, word_matrix
 from .modelfile import load_model, parse_model_file
 from .permgroup import Permutation, certify_full_symmetric, group_order, project
 from .replay import replay
 from .report import render_json, render_text, write_report_dir
-from .rewrite import DEFAULT_BUDGET, DEFAULT_WINDOW, normalize
-from .script import CONVENTIONS_TEXT, EvalContext, ProofScript, eval_word, parse
+from .rewrite import DEFAULT_BUDGET, normalize
+from .script import CONVENTIONS_TEXT, ProofScript, parse, read_word
 from .shiftmap import check_shift_properties
 from .sweeps import homology_property_sweep, pairing_preservation_sweep
 
@@ -100,10 +100,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    if args.window < 2:
-        print("error: window below displacement bound (need >= 2)", file=sys.stderr)
-        return 2
-    # a bad model file fails before anything is printed
+    # a bad window or model file fails before anything is printed
+    check_window(args.window)
     if args.model_file:
         models = [parse_model_file(args.model_file, n=args.n)]
     else:
@@ -153,23 +151,16 @@ def cmd_shiftmap(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _word_from_text(args: argparse.Namespace):
-    model = load_model(args.model, args.n if args.model == "sn" else None)
-    sc = parse(f"MODEL {args.model}\nLET w = {args.word}\n", "<cli>")
-    return model, eval_word(sc.statements[0].expr, EvalContext(model, model.n))  # type: ignore[union-attr]
-
-
 def cmd_project(args: argparse.Namespace) -> int:
-    model, w = _word_from_text(args)
-    print(project(w).cycle_notation())
+    print(project(read_word(args.word, load_model(args.model, args.n))).cycle_notation())
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
     budget = _budget(args.budget)
-    model, w = _word_from_text(args)
+    w = read_word(args.word, load_model(args.model, args.n))
     # a bad --matrix-window fails before anything is printed
-    basis = TruncatedBasis(model, args.matrix_window) if args.matrix else None
+    basis = TruncatedBasis(w.model, args.matrix_window) if args.matrix else None
     res = normalize(w, DEFAULT_BUDGET if budget is None else budget)
     print(res.word if len(res.word) else "ID")
     if args.trace:
@@ -198,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="rewrite applications per search, LET reductions included (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
     )
-    v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="homology truncation window")
+    v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="homology truncation window, at least 2 (default: %(default)s)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
     v.add_argument("--report-dir", default=None, help="write report.json, statements.csv and figures here")
@@ -207,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("selfcheck", help="model validation, oracle self-tests, BSGS sanity")
-    s.add_argument("--window", type=int, default=20)
+    s.add_argument("--window", type=int, default=20, help="model validation window, at least 2 (default: %(default)s)")
     s.add_argument("--model-file", default=None, help="validate this model file instead of the builtins")
     s.add_argument("--n", type=int, default=17, help="n for --model-file when it is an sn model")
     s.set_defaults(func=cmd_selfcheck)
@@ -229,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     nrm.add_argument("--budget", type=int, default=None, help="rewrite applications (default: MCG_BUDGET, then 100000)")
     nrm.add_argument("--trace", action="store_true", help="print the rewrite trace")
     nrm.add_argument("--matrix", action="store_true", help="print the homology matrix grid")
-    nrm.add_argument("--matrix-window", type=int, default=4)
+    nrm.add_argument("--matrix-window", type=int, default=4, help="window of the --matrix grid, at least 2")
     nrm.set_defaults(func=cmd_normalize)
     return ap
 

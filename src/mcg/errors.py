@@ -21,11 +21,7 @@ class ModelMismatch(McgError):
 
 
 class OutOfWindow(McgError):
-    """A homology computation referenced a class outside the truncation window."""
-
-
-class WindowTooSmall(McgError):
-    """The truncation window is below the displacement bound of a word."""
+    """A homology window below the floor of 2, or below the displacement bound of a word."""
 
 
 class BudgetExhausted(McgError):

@@ -22,7 +22,10 @@ permuting basis positions; handle shifts translate one or two strands by a
 genus step and carry a validity mask excluding columns whose trajectory
 leaves the window.
 A verdict is always relative to the common valid subspace: ``Consistent`` is
-a necessary condition, not a proof.
+a necessary condition, not a proof. This module owns the window: its default
+``DEFAULT_WINDOW``, its floor ``check_window`` (every ``TruncatedBasis`` runs
+it) and the displacement rule ``check_displacement`` (replay runs it on each
+word it sends to the oracle).
 
 One kernel, ``_push``, applies a word right to left to all start columns
 at once, at a cost that follows the columns twists touch rather than the
@@ -54,6 +57,13 @@ from .words import Letter, Shift, Twist, Word
 # basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
 Key = tuple
 Vec = dict[Key, int]
+DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) a replay truncates at
+
+
+def check_window(window: int) -> None:
+    """The floor of every window: a linking class, C[1] = a_1 - a_2, spans two positions."""
+    if window < 2:
+        raise OutOfWindow("window must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -64,38 +74,24 @@ class TruncatedBasis:
     window: int
 
     def __post_init__(self):
-        if self.window < 2:
-            raise OutOfWindow("window must be at least 2")
+        check_window(self.window)
 
-    def _top(self, reach: int | None) -> int:
-        return self.window if reach is None else min(self.window, reach)
-
-    def keys(self, reach: int | None = None) -> list[Key]:
-        """Keys in basis order; with ``reach``, only those whose genus (sn)
-        or index magnitude (chain models) is at most ``reach``."""
-        top = self._top(reach)
-        out: list[Key] = []
+    def keys(self) -> list[Key]:
+        """Keys in basis order."""
+        w = self.window
         if self.model.kind == "sn":
-            for e in range(1, self.model.n + 1):
-                for i in range(1, top + 1):
-                    out.extend((("a", e, i), ("b", e, i)))
-        else:
-            for k in range(-top, top + 1):
-                out.extend((("a", k), ("b", k)))
-        return out
+            return [(f, e, i) for e in range(1, self.model.n + 1) for i in range(1, w + 1) for f in "ab"]
+        return [(f, k) for k in range(-w, w + 1) for f in "ab"]
 
-    def size(self, reach: int | None = None) -> int:
-        """``len(self.keys(reach))``, without building the keys."""
-        top = self._top(reach)
-        return 2 * self.model.n * top if self.model.kind == "sn" else 2 * (2 * top + 1)
+    def size(self) -> int:
+        """``len(self.keys())``, without building the keys."""
+        w = self.window
+        return 2 * self.model.n * w if self.model.kind == "sn" else 2 * (2 * w + 1)
 
-    def in_window(self, key: Key, reach: int | None = None) -> bool:
-        """Whether ``key`` is in the window; with ``reach``, whether it is
-        one of ``self.keys(reach)``."""
-        top = self._top(reach)
+    def in_window(self, key: Key) -> bool:
         if self.model.kind == "sn":
-            return 1 <= key[2] <= top
-        return -top <= key[1] <= top
+            return 1 <= key[2] <= self.window
+        return -self.window <= key[1] <= self.window
 
     def key_label(self, key: Key) -> str:
         fam = "A" if key[0] == "a" else "B"
@@ -236,25 +232,27 @@ def _leaving(window: int, aut: Automorphism) -> list[Key]:
     return [(f, u * (y - v)) for y in out for f in "ab"]
 
 
-def _push(basis: TruncatedBasis, letters: Sequence[Letter], reach: int | None = None) -> _Pushed:
-    """Apply a word, right to left, to the unit columns at ``basis.keys(reach)``
-    at once.
+def _push(basis: TruncatedBasis, letters: Sequence[Letter], starts: TruncatedBasis | None = None) -> _Pushed:
+    """Apply a word, right to left, to the unit columns at ``starts.keys()``
+    (default ``basis.keys()``, a window no wider than ``basis``) at once.
 
     A twist changes only the columns that pair with its class; symmetry and
     shift letters compose into the pending relabel and mask the columns
     holding a key that leaves the window, found through the row index.
     """
     inside = basis.in_window
+    starts = starts or basis
+    live = starts.in_window
     cols: dict[Key, Vec] = {}
     rows: dict[Key, set[Key]] = {}  # start-coordinate key -> stored columns nonzero there
     dead: set[Key] = set()
-    starts = basis.size(reach)
+    count = starts.size()
     relabel = _Relabel(basis.model)
     classes: dict[CurveLabel, tuple[Vec, bool]] = {}
 
     def holders(key: Key) -> set[Key]:
         found = set(rows.get(key, ()))
-        if key not in cols and key not in dead and inside(key, reach):
+        if key not in cols and key not in dead and live(key):
             found.add(key)  # an untouched live start
         return found
 
@@ -264,7 +262,7 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter], reach: int | None = 
         dead.add(start)
 
     for g in reversed(letters):
-        if len(dead) == starts:
+        if len(dead) == count:
             break
         if isinstance(g, Twist):
             hit = classes.get(g.label)
@@ -360,6 +358,18 @@ def _support_bound(words: Iterable[Word]) -> tuple[int, int]:
     return top, disp
 
 
+def check_displacement(w: Word, window: int) -> None:
+    """Raise ``OutOfWindow`` when the displacement bound of ``w``, its
+    touched positions plus how far a column can wander, exceeds ``window``."""
+    top, disp = _support_bound((w,))
+    if top + disp > window:
+        text = str(w) if len(str(w)) <= 60 else str(w)[:57] + "..."
+        raise OutOfWindow(
+            f"window {window} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
+            f" it needs a window of at least {top + disp}"
+        )
+
+
 def verify_identity_homology(
     w1: Word,
     w2: Word,
@@ -380,13 +390,13 @@ def verify_identity_homology(
         return HomologyResult("Inconclusive", "model mismatch")
     basis = TruncatedBasis(w1.model, window)
     top, disp = _support_bound((w1, w2))
-    reach = top + disp + 1
-    checked = basis.size(reach)
-    p1 = _push(basis, w1.letters, reach)
-    p2 = _push(basis, w2.letters, reach)
+    starts = TruncatedBasis(w1.model, min(window, top + disp + 1))
+    checked = starts.size()
+    p1 = _push(basis, w1.letters, starts)
+    p2 = _push(basis, w2.letters, starts)
     if p1.error or p2.error:
         # the first start in basis order that was live at an error
-        for key in basis.keys(reach):
+        for key in starts.keys():
             for p in (p1, p2):
                 if p.error and key not in p.dead:
                     return HomologyResult("Inconclusive", str(p.error))
@@ -395,10 +405,10 @@ def verify_identity_homology(
         # a column untouched on both sides is one unit vector, relabelled alike
         differ = {k for k in p1.cols.keys() | p2.cols.keys() if k not in dead and p1.stored(k) != p2.stored(k)}
     else:
-        differ = {k for k in basis.keys(reach) if k not in dead and p1.image(k) != p2.image(k)}
+        differ = {k for k in starts.keys() if k not in dead and p1.image(k) != p2.image(k)}
     if differ:
         valid = 0
-        for key in basis.keys(reach):
+        for key in starts.keys():
             if key in dead:
                 continue
             valid += 1

@@ -6,14 +6,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import McgError, UndefinedSymmetry, WindowTooSmall
-from .homology import _support_bound
+from .errors import McgError, UndefinedSymmetry
+from .homology import DEFAULT_WINDOW, check_displacement, check_window
 from .modelfile import load_model
 from .models import Automorphism, SurfaceModel
 from .permgroup import Permutation, project
 from .rewrite import (
     DEFAULT_BUDGET,
-    DEFAULT_WINDOW,
     Verdict,
     check_involution,
     equivalent,
@@ -112,7 +111,7 @@ def _symmetry_part(w: Word) -> Automorphism | None:
         return None
 
 
-def _goal_equivalent(w: Word, candidates: list[_Candidate], budget: int, window: int) -> str | None:
+def _goal_equivalent(w: Word, candidates: list[_Candidate], budget: int) -> str | None:
     """Name of the newest candidate the engine proves equal to ``w``.
 
     Normalization only: goal targets are derived literally by the scripts,
@@ -123,7 +122,7 @@ def _goal_equivalent(w: Word, candidates: list[_Candidate], budget: int, window:
     """
     part = _symmetry_part(w)
     for name, candidate, cpart in candidates:
-        if cpart == part and equivalent(candidate, w, budget, window, oracles=False).kind == "ProvedEqual":
+        if cpart == part and equivalent(candidate, w, budget, oracles=False).kind == "ProvedEqual":
             return name
     return None
 
@@ -138,6 +137,7 @@ def replay(
     """Run a parsed script, every engine call under ``budget``; failures do
     not stop execution: a statement that raises an ``McgError`` (a word over
     the window too) is an ``error`` row, and a failed ``LET`` binds nothing."""
+    check_window(window)
     n = n if n is not None else script.default_n()
     if script.param is not None:
         msg = script.param.check(n)
@@ -145,8 +145,7 @@ def replay(
             raise McgError(f"{script.path}: {msg}")
     if budget is None:
         budget = script.budget if script.budget is not None else DEFAULT_BUDGET
-    if model is None:
-        model = load_model(script.kind, n if script.kind == "sn" else None)
+    model = model or load_model(script.kind, n)
     if n != model.n:
         raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
     ctx = EvalContext(model, n)
@@ -160,7 +159,7 @@ def replay(
         try:
             if isinstance(stmt, SLet):
                 w = eval_word(stmt.expr, ctx)
-                _check_window(w, window)
+                check_displacement(w, window)
                 red = normalize(w, budget)
                 if not red.normalized:
                     res.witness = f"reduction budget exhausted; kept unreduced ({len(w)} letters)"
@@ -170,7 +169,7 @@ def replay(
             elif isinstance(stmt, SAssertEq):
                 left = eval_word(stmt.left, ctx)
                 right = eval_word(stmt.right, ctx)
-                _check_window(left, window), _check_window(right, window)
+                check_displacement(left, window), check_displacement(right, window)
                 v = equivalent(left, right, budget, window)
                 _judge(res, v)
                 if res.ok:
@@ -179,7 +178,7 @@ def replay(
                     proved.append((f"eq@{stmt.line}", reduce_word(right, budget)))
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
-                _check_window(w, window)
+                check_displacement(w, window)
                 v = check_involution(w, budget, window)
                 _judge(res, v)
                 if res.ok:
@@ -197,7 +196,7 @@ def replay(
                 hits = []
                 candidates = _goal_candidates(proved)
                 for g in stmt.goals:
-                    name = _goal_equivalent(eval_word(g, ctx), candidates, budget, window)
+                    name = _goal_equivalent(eval_word(g, ctx), candidates, budget)
                     if name is None:
                         misses.append(g.text())
                     else:
@@ -209,6 +208,8 @@ def replay(
                 raise McgError(f"unhandled statement {stmt!r}")
         except McgError as e:
             res.verdict, res.ok, res.witness = "error", False, str(e)
+            if isinstance(stmt, SLet):
+                ctx.failed[stmt.name] = stmt.line
         res.wall_ms = (time.perf_counter() - t0) * 1000
         report.statements.append(res)
     report.wall_s = time.perf_counter() - t_start
@@ -235,18 +236,6 @@ def _judge(res: StatementResult, v: Verdict) -> None:
         res.witness = f"ORACLE CONFLICT: {hom.witness}"
     else:
         res.witness = _witness(v)
-
-
-def _check_window(w: Word, window: int) -> None:
-    top, disp = _support_bound((w,))
-    if top + disp > window:
-        text = str(w)
-        if len(text) > 60:
-            text = text[:57] + "..."
-        raise WindowTooSmall(
-            f"window {window} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
-            f" it needs a window of at least {top + disp}"
-        )
 
 
 def _perm_of(spec: PermSpec, n: int) -> Permutation:

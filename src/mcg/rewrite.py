@@ -44,14 +44,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, UndefinedSymmetry
-from .homology import HomologyResult, verify_identity_homology
+from .homology import DEFAULT_WINDOW, HomologyResult, verify_identity_homology
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
 from .permgroup import project
 from .words import Letter, Shift, Sym, Twist, Word, invert, invert_letter
 
 DEFAULT_BUDGET = 100_000
-DEFAULT_WINDOW = 40
 
 
 class Budget:
@@ -61,8 +60,8 @@ class Budget:
         self.limit = limit
         self.spent = 0
 
-    def spend(self, k: int = 1) -> None:
-        self.spent += k
+    def spend(self) -> None:
+        self.spent += 1
         if self.spent > self.limit:
             raise BudgetExhausted(self.spent)
 

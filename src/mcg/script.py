@@ -712,6 +712,17 @@ def parse(text: str, path: str = "<script>") -> ProofScript:
     return _Parser(text, path).parse()
 
 
+def read_word(text: str, model: SurfaceModel) -> Word:
+    """One word typed on its own, in the script grammar over the primitives
+    of ``model``: columns count within ``text``, and a line break is an error."""
+    head = text.splitlines()[0] if text else ""
+    if head != text:
+        raise ParseError("a word is one line; found a line break", 1, len(head) + 1)
+    parser = _Parser(text, "<word>")
+    parser.defined.update(_PRIMITIVES[model.kind])
+    return eval_word(parser._word_expr(text, 1, 0), EvalContext(model, model.n))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -721,6 +732,7 @@ class EvalContext:
     model: SurfaceModel
     n: int
     env: dict[str, Word] = field(default_factory=dict)
+    failed: dict[str, int] = field(default_factory=dict)  # LET name -> line, when its binding failed
 
 
 def eval_word(expr: WordExpr, ctx: EvalContext) -> Word:
@@ -762,6 +774,8 @@ def _letters(expr: WordExpr, ctx: EvalContext) -> tuple[Letter, ...]:
         bound = ctx.env.get(expr.name)
         if bound is not None:
             return _power(bound.letters, exp, expr)
+        if expr.name in ctx.failed:
+            raise McgError(f"name {expr.name!r} has no value: LET {expr.name} at line {ctx.failed[expr.name]} failed")
         if expr.name in model.symmetries:
             return (Sym(expr.name, exp),) if exp else ()
         alias = model.aliases.get(expr.name)

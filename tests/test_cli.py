@@ -218,11 +218,6 @@ def test_zero_budget_is_a_starved_run(monkeypatch, capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
-def test_selfcheck_window_one_exit_two(capsys):
-    assert main(["selfcheck", "--window", "1"]) == 2
-    assert "window" in capsys.readouterr().err
-
-
 def test_shiftmap_check(capsys):
     assert main(["shiftmap"]) == 0
     assert "all passed" in capsys.readouterr().out
@@ -263,11 +258,41 @@ def test_normalize_matrix_grid(capsys):
     assert len(rows) == 10  # 2*(2*2+1) basis classes
 
 
-def test_normalize_matrix_window_one_prints_nothing(capsys):
-    assert main(["normalize", "A[1]", "--matrix", "--matrix-window", "1"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thmC", "--window", "1"],
+        ["verify", "thmC", "--window", "0"],
+        ["verify", "thmC", "--window", "-5"],
+        ["selfcheck", "--window", "1"],
+        ["normalize", "A[1]", "--matrix", "--matrix-window", "1"],
+    ],
+    ids=["verify-1", "verify-0", "verify-minus-5", "selfcheck", "normalize"],
+)
+def test_window_below_the_floor_exits_two(capsys, argv):
+    # every subcommand meets the one floor of the homology window, before
+    # anything is printed
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: window must be at least 2\n"
+
+
+@pytest.mark.parametrize("command", ["project", "normalize"])
+def test_command_line_word_positions_count_within_the_word(capsys, command):
+    assert main([command, "A[1] Q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1, col 6: name 'Q' is not defined here\n"
+
+
+@pytest.mark.parametrize("command", ["project", "normalize"])
+def test_command_line_word_is_one_line(capsys, command):
+    # text after a line break is an error, not dropped
+    assert main([command, "R\nASSERT_EQ R = R"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1, col 2: a word is one line; found a line break\n"
 
 
 def _mask_clock(text: str) -> str:

@@ -57,7 +57,7 @@ def _evaluate(script) -> None:
     each binding keeps only its first letters: unreduced bindings of the
     shipped scripts grow past 500,000 letters."""
     n = script.default_n()
-    model = load_model(script.kind, n if script.kind == "sn" else None)
+    model = load_model(script.kind, n)
     ctx = EvalContext(model, n)
     for stmt in script.statements:
         if isinstance(stmt, SLet):

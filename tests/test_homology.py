@@ -53,7 +53,7 @@ def test_selftest_passes():
 
 
 def test_selftest_fails_a_kernel_that_never_masks(monkeypatch):
-    monkeypatch.setattr(TruncatedBasis, "in_window", lambda self, key, reach=None: True)
+    monkeypatch.setattr(TruncatedBasis, "in_window", lambda self, key: True)
     with pytest.raises(AssertionError, match=r"the twist about C\[2\] leaves b_2 valid"):
         transvection_selftest()
 

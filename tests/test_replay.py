@@ -7,7 +7,7 @@ import pytest
 
 import mcg.replay
 import mcg.rewrite
-from mcg.errors import McgError
+from mcg.errors import McgError, OutOfWindow
 from mcg.homology import HomologyResult
 from mcg.replay import replay
 from mcg.script import CONVENTIONS_ID, parse
@@ -132,6 +132,21 @@ def test_window_below_displacement_is_an_error_row():
     assert "F3" not in rep.env
     uses = [s for s in rep.failures if "'F3' has no value" in s.witness]
     assert uses and all(s.line > 36 for s in uses)
+
+
+def test_window_below_the_floor_raises_before_any_row():
+    with pytest.raises(OutOfWindow, match=r"^window must be at least 2$"):
+        replay(load("thmC"), window=1)
+
+
+def test_uses_of_a_failed_let_name_it_and_its_line():
+    text = f"MODEL sn\nCONVENTIONS {CONVENTIONS_ID}\nLET Y = (A[1] B[1])^6000\nASSERT_EQ Y = Y\nASSERT_INVOLUTION Y\n"
+    rep = replay(parse(text, "failed-let.mcg"), n=17)
+    let, eq, inv = rep.statements
+    assert (let.line, let.verdict) == (3, "error") and "12000 letters" in let.witness
+    for row in (eq, inv):
+        assert row.verdict == "error"
+        assert row.witness == "name 'Y' has no value: LET Y at line 3 failed"
 
 
 def test_every_passing_assert_is_oracle_consistent():
