@@ -1,24 +1,25 @@
 """Script replay: execute statements in order, verdict each assertion,
-cross-check with the homology oracle, track the proved element set."""
+cross-check with the homology oracle, track the proved element set and
+match each goal against it through ``rewrite.GoalIndex``."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .errors import McgError, UndefinedSymmetry
+from .errors import McgError
 from .homology import DEFAULT_WINDOW, check_displacement, check_window
 from .modelfile import load_model
-from .models import Automorphism, SurfaceModel
+from .models import SurfaceModel
 from .permgroup import Permutation, project
 from .rewrite import (
     DEFAULT_BUDGET,
+    GoalIndex,
     Verdict,
     check_involution,
     equivalent,
     normalize,
     reduce_word,
-    split_symmetries,
 )
 from .script import (
     CONVENTIONS_TEXT,
@@ -49,17 +50,8 @@ class StatementResult:
     wall_ms: float = 0.0
 
     def json_fields(self) -> dict:
-        return {
-            "index": self.index,
-            "line": self.line,
-            "kind": self.kind,
-            "statement": self.statement,
-            "verdict": self.verdict,
-            "ok": self.ok,
-            "oracle": self.oracle,
-            "budget_used": self.budget_used,
-            "witness": self.witness,
-        }
+        """The report's fields, in order: all but the clock."""
+        return {k: v for k, v in vars(self).items() if k != "wall_ms"}
 
 
 @dataclass
@@ -87,46 +79,6 @@ class ReplayReport:
         return [s for s in self.statements if s.verdict == "Unknown"]
 
 
-_Candidate = tuple[str, Word, Automorphism | None]  # name, word, symmetry part
-
-
-def _goal_candidates(proved: list[tuple[str, Word]]) -> list[_Candidate]:
-    """The proved words newest first, each distinct word once (``equivalent``
-    is deterministic, so an older copy would only repeat a verdict), with its
-    symmetry part: the automorphism of ``split_symmetries``, None when the
-    word holds a symmetry without a label action."""
-    seen: set = set()
-    out = []
-    for name, w in reversed(proved):
-        if w.letters not in seen:
-            seen.add(w.letters)
-            out.append((name, w, _symmetry_part(w)))
-    return out
-
-
-def _symmetry_part(w: Word) -> Automorphism | None:
-    try:
-        return split_symmetries(w)[1]
-    except UndefinedSymmetry:
-        return None
-
-
-def _goal_equivalent(w: Word, candidates: list[_Candidate], budget: int) -> str | None:
-    """Name of the newest candidate the engine proves equal to ``w``.
-
-    Normalization only: goal targets are derived literally by the scripts,
-    and oracle calls per candidate pair would dominate the replay time. A
-    candidate with another symmetry part is not tried: ``equivalent`` turns
-    such a pair down before any search (both parts come out of ``compose``
-    in normal form, so ``==`` is equality of label actions).
-    """
-    part = _symmetry_part(w)
-    for name, candidate, cpart in candidates:
-        if cpart == part and equivalent(candidate, w, budget, oracles=False).kind == "ProvedEqual":
-            return name
-    return None
-
-
 def replay(
     script: ProofScript,
     n: int | None = None,
@@ -138,19 +90,19 @@ def replay(
     not stop execution: a statement that raises an ``McgError`` (a word over
     the window too) is an ``error`` row, and a failed ``LET`` binds nothing."""
     check_window(window)
-    n = n if n is not None else script.default_n()
-    if script.param is not None:
+    n = n if n is not None else script.default_n()  # None on a chain model: the model fixes n
+    if script.param is not None and n is not None:
         msg = script.param.check(n)
         if msg:
             raise McgError(f"{script.path}: {msg}")
     if budget is None:
         budget = script.budget if script.budget is not None else DEFAULT_BUDGET
     model = model or load_model(script.kind, n)
-    if n != model.n:
+    if n is not None and n != model.n:
         raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
-    ctx = EvalContext(model, n)
+    ctx = EvalContext(model, model.n)
     proved: list[tuple[str, Word]] = []
-    report = ReplayReport(script.path, model.describe(), n, CONVENTIONS_TEXT, budget, window, env=ctx.env)
+    report = ReplayReport(script.path, model.describe(), model.n, CONVENTIONS_TEXT, budget, window, env=ctx.env)
 
     t_start = time.perf_counter()
     for idx, stmt in enumerate(script.statements):
@@ -194,9 +146,9 @@ def replay(
             elif isinstance(stmt, SGoalset):
                 misses = []
                 hits = []
-                candidates = _goal_candidates(proved)
+                index = GoalIndex(proved)
                 for g in stmt.goals:
-                    name = _goal_equivalent(eval_word(g, ctx), candidates, budget)
+                    name = index.first_equal(eval_word(g, ctx), budget)
                     if name is None:
                         misses.append(g.text())
                     else:

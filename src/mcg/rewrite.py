@@ -28,19 +28,27 @@ Steps 2 and 3 run on letter numbers (see ``_Ctx``): the trace normal form
 needs only each letter's inverse, commutation class and sort key, so it
 works on small ints. No order depends on the numbers, only on sort keys.
 
-Failure to normalize is not a proof of distinctness. The decision wrapper
-runs the homology oracle once per pair, whatever the engine found, and
-every verdict carries its result; when normalization fails, a disagreement
-of the homology or end-permutation oracle is a certificate, and otherwise
-the verdict is Unknown. An involution ``r x`` (r the leading symmetry
-letters) is the identity ``r x r = x~`` on the same path.
+A pair w1 = w2 is decided in one place (``_decide_pair``) from the two
+words' splits: with equal symmetry parts, w1 w2~ pushes to core(w1)
+core(w2)~, which steps 2 and 3 must empty. ``equivalent`` and goal
+matching (``GoalIndex``) both go through it. Every move above keeps the
+exponent sums of the twists and of the shifts, so the index files proved
+words under (symmetry part, twist sum, shift sum) and tries a goal only
+against its own bucket; skipping the others loses no proof.
+
+Failure to normalize is not a proof of distinctness. ``equivalent`` runs
+the homology oracle once per pair, whatever the engine found, and every
+verdict carries its result; when normalization fails, a disagreement of
+the homology or end-permutation oracle is a certificate, and otherwise the
+verdict is Unknown. An involution ``r x`` (r the leading symmetry letters)
+is the identity ``r x r = x~`` on the same path.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, UndefinedSymmetry
@@ -210,9 +218,6 @@ class _Ctx:
             self._reps.append(g)
         return hit
 
-    def commutes(self, x: Letter, y: Letter) -> bool:
-        return self.comm[(self.cid(x), self.cid(y))]
-
     def _commutes_pair(self, key: tuple[int, int]) -> bool:
         i, j = key
         hit = self.comm[(j, i)] = self._commutes(self._reps[i], self._reps[j])
@@ -228,9 +233,6 @@ class _Ctx:
         tw, sh = (x, y) if isinstance(x, Twist) else (y, x)
         touched = {self.model._norm_end(e) for e in strand_set(tw.label)}
         return not (touched & sh.label.ends)
-
-    def key(self, g: Letter) -> tuple:
-        return self.keys[self.num[g]]
 
     def _sort_key(self, g: Letter) -> tuple:
         if isinstance(g, Twist):
@@ -425,18 +427,84 @@ def _trace(seen: dict, node: tuple) -> tuple[str, ...]:
     return tuple(reversed(moves))
 
 
-def _decide(
-    model: SurfaceModel, letters: Sequence[Letter], budget: Budget
-) -> tuple[tuple[Letter, ...], tuple[str, ...]]:
-    """Commutation-canonical form, then the braid search from it. Returns
-    the form reached and its move trace; a word that the canonical form
-    already empties has the trace ``("canonical",)``."""
-    ctx = _ctx(model)
-    start = _canonical(ctx, [ctx.num[g] for g in letters], budget)
+def _decide(ctx: _Ctx, w: Sequence[int], budget: Budget) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Commutation-canonical form, then the braid search from it: the form
+    reached and its move trace, ``("canonical",)`` if the first is empty."""
+    start = _canonical(ctx, w, budget)
     if not start:
         return (), ("canonical",)
-    form, trace = _search(ctx, start, budget)
-    return tuple(ctx.letters[g] for g in form), trace
+    return _search(ctx, start, budget)
+
+
+# ---------------------------------------------------------------------------
+# pair decision: one for equivalent and goal matching
+
+_Split = tuple[tuple[int, ...], Automorphism]  # pushed core as letter numbers, symmetry part
+
+
+def _split(w: Word) -> _Split | None:
+    """``split_symmetries`` of ``w`` on letter numbers; None when ``w`` holds
+    a symmetry without a label action."""
+    try:
+        core, aut, _tail = split_symmetries(w)
+    except UndefinedSymmetry:
+        return None
+    num = _ctx(w.model).num
+    return tuple(num[g] for g in core), aut
+
+
+def _decide_pair(ctx: _Ctx, s1: _Split | None, s2: _Split | None, budget: int) -> ProvedEqual | Unknown:
+    """The engine's verdict on w1 = w2 from their splits, without oracles:
+    w1 w2~ fails to push exactly when either word does, and otherwise its
+    core core(w1) core(w2)~ is decided under a fresh budget when the two
+    symmetry parts agree. The move trace that empties it is the proof."""
+    if s1 is None or s2 is None:
+        return Unknown("word contains a symmetry without a label action", 0)
+    if s1[1] != s2[1]:
+        return Unknown("symmetry parts differ as label automorphisms", 0)
+    b = Budget(budget)
+    try:
+        form, trace = _decide(ctx, [*s1[0], *(ctx.inv[g] for g in reversed(s2[0]))], b)
+    except BudgetExhausted:
+        return Unknown("budget exhausted", b.spent)
+    return Unknown("not reduced to the empty word", b.spent) if form else ProvedEqual(trace, b.spent)
+
+
+def _index_key(ctx: _Ctx, s: _Split) -> tuple:
+    """What every engine move keeps: the symmetry part and the exponent sums
+    of the twists and of the shifts."""
+    kind, exp = ctx.kind, ctx.exp
+    return s[1], sum(exp[g] for g in s[0] if kind[g] == TWIST), sum(exp[g] for g in s[0] if kind[g] == SHIFT)
+
+
+class GoalIndex:
+    """Proved words of one model, each distinct word split once and filed,
+    newest first, under its ``_index_key``. A pair from two buckets never
+    empties, so a goal tried against its own bucket gets the name that a
+    newest-first ``equivalent`` loop over every word would."""
+
+    def __init__(self, proved: Sequence[tuple[str, Word]]):
+        self._buckets: dict[tuple, list[tuple[str, _Split]]] = {}
+        seen: set = set()
+        for name, w in reversed(proved):
+            if w.letters in seen:
+                continue  # the engine is deterministic: a repeat repeats a verdict
+            seen.add(w.letters)
+            s = _split(w)
+            if s is not None:  # a word that cannot push is proved equal to nothing
+                self._buckets.setdefault(_index_key(_ctx(w.model), s), []).append((name, s))
+
+    def first_equal(self, w: Word, budget: int) -> str | None:
+        """Name of the newest proved word that the engine proves equal to
+        ``w``, each pair under its own ``budget``; None when there is none."""
+        s = _split(w)
+        if s is None:
+            return None
+        ctx = _ctx(w.model)
+        for name, cand in self._buckets.get(_index_key(ctx, s), ()):
+            if _decide_pair(ctx, cand, s, budget).kind == "ProvedEqual":
+                return name
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +528,18 @@ def reduce_word(w: Word, budget: int = DEFAULT_BUDGET) -> Word:
 def normalize(w: Word, budget: int = DEFAULT_BUDGET) -> NormalizeResult:
     """Deterministic canonical-ish form of ``w`` within the budget: symmetry
     push, commutation canonical form, braid minimization."""
-    model = w.model
+    ctx = _ctx(w.model)
+    s = _split(w)
     b = Budget(budget)
     try:
-        try:
-            core, aut, tail = split_symmetries(w)
-        except UndefinedSymmetry:
-            form = canonical(model, list(w.letters), b)
-            return NormalizeResult(True, Word(model, form), ("symmetry-blocked",), b.spent)
-        form, trace = _decide(model, core, b)
-        tail_letters = () if aut.is_identity() else tuple(tail)
-        return NormalizeResult(True, Word(model, form + tail_letters), trace, b.spent)
+        if s is None:
+            form, trace = _canonical(ctx, [ctx.num[g] for g in w.letters], b), ("symmetry-blocked",)
+        else:
+            form, trace = _decide(ctx, s[0], b)
     except BudgetExhausted:
         return NormalizeResult(False, w, ("budget-exhausted",), b.spent)
+    tail = () if s is None or s[1].is_identity() else tuple(g for g in w.letters if isinstance(g, Sym))
+    return NormalizeResult(True, Word(w.model, tuple(ctx.letters[g] for g in form) + tail), trace, b.spent)
 
 
 def equivalent(
@@ -489,35 +556,19 @@ def equivalent(
     if w1.model is not w2.model:
         raise ModelMismatch("words over different models")
     model = w1.model
-    w = w1 * invert(w2)
-    b = Budget(budget)
-    trace: tuple[str, ...] | None = None  # the proof, when the engine found one
-    reason = "not reduced to the empty word"
-    try:
-        core, aut, _tail = split_symmetries(w)
-        if aut.is_identity():
-            form, found = _decide(model, core, b)
-            if not form:
-                trace = found
-        else:
-            reason = "symmetry parts differ as label automorphisms"
-    except UndefinedSymmetry:
-        reason = "word contains a symmetry without a label action"
-    except BudgetExhausted:
-        reason = "budget exhausted"
-
-    hom = verify_identity_homology(w1, w2, window) if oracles else None
-    if trace is not None:
-        return ProvedEqual(trace, b.spent, hom)
+    v = _decide_pair(_ctx(model), _split(w1), _split(w2), budget)
     if not oracles:
-        return Unknown(reason, b.spent)
+        return v
+    hom = verify_identity_homology(w1, w2, window)
+    if v.kind == "ProvedEqual":
+        return replace(v, homology=hom)
     p1, p2 = project(w1), project(w2)
     if p1 != p2:
         e = next(e for e in range(1, model.n + 1) if p1(e) != p2(e))
         return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}", hom)
     if hom.status == "Refuted":
         return ProvedDistinct("homology", hom.witness, hom)
-    return Unknown(reason, b.spent, hom)
+    return replace(v, homology=hom)
 
 
 def check_involution(w: Word, budget: int = DEFAULT_BUDGET, window: int = DEFAULT_WINDOW) -> Verdict:

@@ -309,11 +309,10 @@ class ProofScript:
         lines.extend(s.text() for s in self.statements)
         return "\n".join(lines) + "\n"
 
-    def default_n(self) -> int:
-        if self.kind == "jacob":
-            return 2
-        if self.kind == "lochness":
-            return 1
+    def default_n(self) -> int | None:
+        """n of a run given none; None on the chain models, which fix n."""
+        if self.kind != "sn":
+            return None
         return self.param.default if self.param else 17
 
     def key(self) -> tuple:
@@ -384,10 +383,11 @@ def _tokenize(text: str, line: int, col0: int = 0) -> list[Token]:
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token], line: int):
+    def __init__(self, tokens: list[Token], line: int, end: int):
         self.tokens = tokens
         self.i = 0
         self.line = line
+        self.end = end  # the column just past the statement's last character
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -395,7 +395,7 @@ class _TokenStream:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of statement", self.line, 0)
+            raise ParseError("unexpected end of statement", self.line, self.end)
         self.i += 1
         return tok
 
@@ -549,7 +549,7 @@ class _Parser:
     # -- word expressions ----------------------------------------------------
 
     def _stream(self, text: str, line: int, col0: int) -> _TokenStream:
-        return _TokenStream(_tokenize(text, line, col0), line)
+        return _TokenStream(_tokenize(text, line, col0), line, col0 + len(text) + 1)
 
     def _finish(self, stream: _TokenStream) -> None:
         if not stream.done():
@@ -571,11 +571,8 @@ class _Parser:
             parts.append(self._parse_atom(stream))
         if not parts:
             tok = stream.peek()
-            raise ParseError(
-                "empty word (use ID for the identity)",
-                tok.line if tok else stream.line,
-                tok.col if tok else 0,
-            )
+            line, col = (tok.line, tok.col) if tok else (stream.line, stream.end)
+            raise ParseError("empty word (use ID for the identity)", line, col)
         return parts[0] if len(parts) == 1 else ESeq(tuple(parts))
 
     def _parse_atom(self, stream: _TokenStream) -> WordExpr:

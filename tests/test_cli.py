@@ -424,3 +424,10 @@ def test_symmetry_missing_from_the_model_file_names_the_model(tmp_path):
     assert [(r["line"], r["verdict"], r["witness"]) for r in rows if not r["ok"]] == [
         (99, "error", "name 'tau' has no value in the S(17) model")
     ]
+
+
+def test_empty_command_line_word_points_past_its_end(capsys):
+    assert main(["project", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 1, col 1: empty word (use ID for the identity)\n"

@@ -56,9 +56,8 @@ def _evaluate(script) -> None:
     labels, indices and powers, never on the letters a name is bound to, so
     each binding keeps only its first letters: unreduced bindings of the
     shipped scripts grow past 500,000 letters."""
-    n = script.default_n()
-    model = load_model(script.kind, n)
-    ctx = EvalContext(model, n)
+    model = load_model(script.kind, script.default_n())
+    ctx = EvalContext(model, model.n)
     for stmt in script.statements:
         if isinstance(stmt, SLet):
             w = eval_word(stmt.expr, ctx)

@@ -10,6 +10,7 @@ import mcg.rewrite
 from mcg.errors import McgError, OutOfWindow
 from mcg.homology import HomologyResult
 from mcg.replay import replay
+from mcg.rewrite import GoalIndex
 from mcg.script import CONVENTIONS_ID, parse
 
 
@@ -164,6 +165,14 @@ def test_goalset_reports_source_of_each_goal():
     assert "<=" in goal.witness
 
 
+def test_chain_scripts_take_n_from_their_model():
+    assert parse("MODEL jacob\nASSERT_EQ A[1] = A[1]\n").default_n() is None
+    assert replay(parse("MODEL jacob\nASSERT_EQ A[n] = A[2]\n")).n == 2
+    assert replay(parse("MODEL lochness\nASSERT_EQ A[n] = A[1]\n")).n == 1
+    with pytest.raises(McgError, match=r"the Jacob's Ladder model has n=2, not 3$"):
+        replay(parse("MODEL jacob\nASSERT_EQ A[1] = A[1]\n"), n=3)
+
+
 def test_script_budget_line_applies_unless_overridden():
     text = "MODEL jacob\nBUDGET {}\nASSERT_EQ A[1] = A[1]\n"
     assert replay(parse(text.format(0))).budget == 0
@@ -176,24 +185,44 @@ GOLDEN_DEFAULT_JSON = Path(__file__).parent / "data" / "verify-default.json"
 
 
 def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
-    # over the six default replays, goal-set matching made 949 oracle-free
-    # engine calls while it tried every proved word, repeats and words with
-    # another symmetry part included; its witnesses must not change
-    calls = []
-    real = mcg.replay.equivalent
+    # over the six default replays, goal-set matching made 949 engine calls
+    # while it tried every proved word, 211 once it skipped repeats and words
+    # with another symmetry part, and 146 (31 proofs, 115 misses) once the
+    # exponent sums file each word too; it calls no ``equivalent``, and its
+    # witnesses must not change
+    decisions, calls = [], []
+    real_pair, real_first, real_equivalent = mcg.rewrite._decide_pair, GoalIndex.first_equal, mcg.replay.equivalent
+    matching = [False]
 
-    def counting(*args, **kwargs):
+    def first_equal(self, w, budget):
+        matching[0] = True
+        try:
+            return real_first(self, w, budget)
+        finally:
+            matching[0] = False
+
+    def decide_pair(*args):
+        v = real_pair(*args)
+        if matching[0]:
+            decisions.append(v.kind)
+        return v
+
+    def equivalent(*args, **kwargs):
         calls.append(kwargs.get("oracles", True))
-        return real(*args, **kwargs)
+        return real_equivalent(*args, **kwargs)
 
-    monkeypatch.setattr(mcg.replay, "equivalent", counting)
+    monkeypatch.setattr(GoalIndex, "first_equal", first_equal)
+    monkeypatch.setattr(mcg.rewrite, "_decide_pair", decide_pair)
+    monkeypatch.setattr(mcg.replay, "equivalent", equivalent)
     witnesses = []
     for name in ("thmA", "thmB", "thmC", "thmD"):
         script = load(name)
         for n in script.param.defaults if script.kind == "sn" else (None,):
             rep = replay(script, n=n)
             witnesses += [s.witness for s in rep.statements if s.kind == "Goalset"]
-    assert calls.count(False) <= 211
+    assert len(decisions) <= 146
+    assert decisions.count("ProvedEqual") == 31
+    assert False not in calls
     golden = json.loads(GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8"))
     assert witnesses == [s["witness"] for r in golden["scripts"] for s in r["statements"] if s["kind"] == "Goalset"]
 

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from mcg import load_model
 from mcg.homology import TruncatedBasis, word_matrix
 from mcg.rewrite import (
+    DEFAULT_BUDGET,
     Budget,
+    GoalIndex,
     _ctx,
+    _index_key,
+    _split,
     canonical,
     check_involution,
     equivalent,
@@ -192,6 +196,76 @@ def test_push_symmetries_preserves_matrix(sn17):
         assert before.cols[key] == after.cols[key], key
 
 
+def _first_equal_reference(proved, goal, budget):
+    """The loop ``GoalIndex`` replaces: every proved word, newest first,
+    through ``equivalent`` without oracles. The reference the index is
+    checked against."""
+    for name, w in reversed(proved):
+        if equivalent(w, goal, budget, oracles=False).kind == "ProvedEqual":
+            return name
+    return None
+
+
+def test_goal_index_finds_what_the_equivalent_loop_finds(sn16, sn17, jacob, lochness):
+    # random proved lists with repeats; goals are conjugates of a proved
+    # word, a proved word with a cancelling pair, a proved word and a random
+    # word, with symmetries (tau and the other end maps) and shifts drawn too
+    hits = 0
+    for model in (sn16, sn17, jacob, lochness):
+        rng = random.Random(22)
+        for _ in range(60):
+            proved = [(f"w{i}", random_word(model, rng, rng.randint(1, 6))) for i in range(rng.randint(1, 8))]
+            proved += [(f"again{i}", w) for i, (_, w) in enumerate(rng.sample(proved, rng.randint(0, len(proved))))]
+            rng.shuffle(proved)
+            index = GoalIndex(proved)
+            c = rng.choice(proved)[1]
+            g, x = random_word(model, rng, rng.randint(1, 3)), random_word(model, rng, rng.randint(1, 3))
+            for goal in (g * c * invert(g), c * x * invert(x), c, random_word(model, rng, rng.randint(1, 6))):
+                for budget in (0, 1, 3, DEFAULT_BUDGET):
+                    name = index.first_equal(goal, budget)
+                    assert name == _first_equal_reference(proved, goal, budget), (model.describe(), goal, budget)
+                    hits += name is not None
+    assert hits > 500  # the draw does exercise proofs
+
+
+def test_pair_core_is_the_product_core(sn17, jacob, lochness):
+    # the pair decision's three facts about w1 w2~, read off the two splits
+    for model in (sn17, jacob, lochness):
+        ctx, rng = _ctx(model), random.Random(5)
+        for _ in range(300):
+            w1 = random_word(model, rng, rng.randint(0, 6))
+            w2 = random_word(model, rng, rng.randint(0, 6))
+            if rng.random() < 0.5:
+                g = random_word(model, rng, rng.randint(1, 3))
+                w2 = g * w1 * invert(g)
+            s1, s2, product = _split(w1), _split(w2), _split(w1 * invert(w2))
+            assert (product is None) == (s1 is None or s2 is None)
+            if product is None:
+                continue
+            assert product[1].is_identity() == (s1[1] == s2[1])
+            if s1[1] == s2[1]:
+                assert product[0] == s1[0] + tuple(ctx.inv[g] for g in reversed(s2[0]))
+
+
+def test_proved_pairs_of_criterion_3_share_an_index_key(sn16, sn17, jacob, lochness):
+    # criterion 3's draw (cross_oracle_random_pairs, 1,000 pairs a model,
+    # seed 1234): every pair the engine proves equal lies in one bucket
+    proved = 0
+    for model in (sn16, sn17, jacob, lochness):
+        ctx, rng = _ctx(model), random.Random(1234)
+        for _ in range(1000):
+            w1 = random_word(model, rng, rng.randint(1, 7))
+            if rng.random() < 0.5:
+                g = random_word(model, rng, rng.randint(1, 3))
+                w2 = g * w1 * invert(g)
+            else:
+                w2 = random_word(model, rng, rng.randint(1, 7))
+            if equivalent(w1, w2, 4000, 20, oracles=False).kind == "ProvedEqual":
+                proved += 1
+                assert _index_key(ctx, _split(w1)) == _index_key(ctx, _split(w2)), (w1, w2)
+    assert proved == 636
+
+
 def test_reduce_word_shrinks_without_changing_value(sn17):
     f1 = thmA_f1(sn17)
     blown = f1 * invert(f1) * f1
@@ -287,10 +361,13 @@ def test_canonical_is_a_normal_form_of_the_reduced_trace(sn16, sn17, jacob, loch
     budget = Budget(10**6)
     out = canonical(model, letters, budget)
     assert 2 * budget.spent == len(letters) - len(out)
-    for x, y in zip(out, out[1:]):
-        assert not ctx.commutes(x, y) or ctx.key(x) <= ctx.key(y), (x, y)
+    def commutes(x, y):
+        return ctx.comm[(ctx.cid(x), ctx.cid(y))]
 
-    swaps = [i for i in range(len(letters) - 1) if ctx.commutes(letters[i], letters[i + 1])]
+    for x, y in zip(out, out[1:]):
+        assert not commutes(x, y) or ctx.keys[ctx.num[x]] <= ctx.keys[ctx.num[y]], (x, y)
+
+    swaps = [i for i in range(len(letters) - 1) if commutes(letters[i], letters[i + 1])]
     if swaps:
         i = data.draw(st.sampled_from(swaps))
         swapped = letters[:i] + [letters[i + 1], letters[i]] + letters[i + 2 :]

@@ -158,6 +158,20 @@ def test_overlong_decimal_is_positioned():
         assert "-digit number is too long to read" in str(err.value)
 
 
+def test_end_of_statement_is_the_column_past_its_last_character():
+    # an error where the statement runs out points at the gap after it
+    for stmt, col, msg in (
+        ("ASSERT_EQ A[1]", 15, "unexpected end of statement"),
+        ("ASSERT_EQ A[1] =", 17, "empty word"),
+        ("ASSERT_EQ A[1] =   # trailing comment", 17, "empty word"),
+        ("LET w =", 8, "empty word"),
+        ("ASSERT_GOALSET { A[1] ;", 24, "empty word"),
+    ):
+        with pytest.raises(ParseError, match=msg) as err:
+            parse(HEADER + stmt + "\n")
+        assert (err.value.line, err.value.column) == (4, col), stmt
+
+
 def test_names_without_a_value_name_the_model(sn17):
     # a name the parser accepts (a primitive, or a LET whose evaluation
     # failed) but the model or the bindings cannot resolve
