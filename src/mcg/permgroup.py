@@ -289,11 +289,11 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def group_order(gens: list[Permutation], n: int | None = None) -> int:
+def group_order(gens: list[Permutation]) -> int:
     """Exact order of the subgroup generated by ``gens``."""
     if not gens:
         return 1
-    return _schreier_sims(gens, gens[0].n if n is None else n)
+    return _schreier_sims(gens, gens[0].n)
 
 
 def certify_full_symmetric(gens: list[Permutation], n: int) -> tuple[bool, int]:

@@ -7,22 +7,22 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import McgError
+from .errors import BudgetExhausted, McgError
 from .homology import DEFAULT_WINDOW, check_displacement, check_window
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
 from .rewrite import (
     DEFAULT_BUDGET,
+    Budget,
     GoalIndex,
     Verdict,
+    canonical,
     check_involution,
     equivalent,
     normalize,
-    reduce_word,
 )
 from .script import (
-    CONVENTIONS_TEXT,
     EvalContext,
     PermSpec,
     ProofScript,
@@ -59,7 +59,6 @@ class ReplayReport:
     script: str
     model: str
     n: int
-    conventions: str
     budget: int
     window: int
     statements: list[StatementResult] = field(default_factory=list)
@@ -102,7 +101,7 @@ def replay(
         raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
     ctx = EvalContext(model, model.n)
     proved: list[tuple[str, Word]] = []
-    report = ReplayReport(script.path, model.describe(), model.n, CONVENTIONS_TEXT, budget, window, env=ctx.env)
+    report = ReplayReport(script.path, model.describe(), model.n, budget, window, env=ctx.env)
 
     t_start = time.perf_counter()
     for idx, stmt in enumerate(script.statements):
@@ -125,9 +124,13 @@ def replay(
                 v = equivalent(left, right, budget, window)
                 _judge(res, v)
                 if res.ok:
-                    # both sides are proved equal; the right side is the
-                    # compact display form, keep that one
-                    proved.append((f"eq@{stmt.line}", reduce_word(right, budget)))
+                    # goal matching reads the commutation-canonical form,
+                    # or the side as written once the budget runs out
+                    try:
+                        right = Word(model, canonical(model, right.letters, Budget(budget)))
+                    except BudgetExhausted:
+                        pass
+                    proved.append((f"eq@{stmt.line}", right))
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
                 check_displacement(w, window)

@@ -257,27 +257,25 @@ def _ctx(model: SurfaceModel) -> _Ctx:
 # symmetry pushing
 
 
-def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism, list[Letter]]:
-    """(relabelled twist/shift letters, composite automorphism, original
-    symmetry letters in order). Raises UndefinedSymmetry when a symmetry
-    without a label action (the end swap on sn) must pass over a letter."""
+def split_symmetries(w: Word) -> tuple[list[Letter], Automorphism]:
+    """(relabelled twist/shift letters, composite automorphism). Raises
+    UndefinedSymmetry when a symmetry without a label action (the end swap
+    on sn) must pass over a letter."""
     model = w.model
     aut = Automorphism.identity(model)
     letters = w.letters
     first = next((i for i, g in enumerate(letters) if isinstance(g, Sym)), len(letters))
     core: list[Letter] = list(letters[:first])  # the identity relabels nothing
-    tail: list[Letter] = []
     for g in letters[first:]:
         if isinstance(g, Sym):
             step = model.automorphism_of_word([(g.name, g.exp)])
             aut = aut.compose(step)
-            tail.append(g)
         elif isinstance(g, Twist):
             core.append(Twist(aut.act_curve(g.label), g.exp))
         else:
             lab, exp = aut.act_shift(g.label, g.exp)
             core.append(Shift(lab, exp))
-    return core, aut, tail
+    return core, aut
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,7 @@ def _split(w: Word) -> _Split | None:
     """``split_symmetries`` of ``w`` on letter numbers; None when ``w`` holds
     a symmetry without a label action."""
     try:
-        core, aut, _tail = split_symmetries(w)
+        core, aut = split_symmetries(w)
     except UndefinedSymmetry:
         return None
     num = _ctx(w.model).num
@@ -521,7 +519,7 @@ class NormalizeResult:
 
 def reduce_word(w: Word, budget: int = DEFAULT_BUDGET) -> Word:
     """Shortest form of ``w`` found within the budget, or ``w`` itself when
-    the budget runs out; keeps bound names from snowballing during replay."""
+    the budget runs out."""
     return normalize(w, budget).word
 
 

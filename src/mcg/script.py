@@ -288,7 +288,6 @@ class ProofScript:
     kind: str
     param: ParamSpec | None
     conventions: str | None
-    compose: str
     budget: int | None
     title: str
     statements: tuple[Statement, ...]
@@ -303,7 +302,7 @@ class ProofScript:
             lines.append(self.param.text())
         if self.conventions:
             lines.append(f"CONVENTIONS {self.conventions}")
-        lines.append(f"COMPOSE {self.compose}")
+        lines.append("COMPOSE rtl")
         if self.budget is not None:
             lines.append(f"BUDGET {self.budget}")
         lines.extend(s.text() for s in self.statements)
@@ -327,7 +326,6 @@ class ProofScript:
             self.kind,
             self.param,
             self.conventions,
-            self.compose,
             self.budget,
             self.title,
             tuple(strip(s) for s in self.statements),
@@ -424,7 +422,6 @@ class _Parser:
         self.kind: str | None = None
         self.param: ParamSpec | None = None
         self.conventions: str | None = None
-        self.compose = "rtl"
         self.budget: int | None = None
         self.title = ""
         self.statements: list[Statement] = []
@@ -442,7 +439,6 @@ class _Parser:
             self.kind,
             self.param,
             self.conventions,
-            self.compose,
             self.budget,
             self.title,
             tuple(self.statements),
@@ -493,7 +489,6 @@ class _Parser:
         if key == "COMPOSE":
             if rest != "rtl":
                 raise ParseError("only COMPOSE rtl (rightmost factor first) is supported", line, len(head) + 2)
-            self.compose = rest
             return
         if key == "BUDGET":
             if not rest.isdigit():

@@ -35,7 +35,7 @@ def test_symmetric_group_five():
 
 def test_trivial_group():
     assert group_order([Permutation.identity(5)]) == 1
-    assert group_order([], n=5) == 1
+    assert group_order([]) == 1
 
 
 def test_klein_four_group():

@@ -10,8 +10,9 @@ import mcg.rewrite
 from mcg.errors import McgError, OutOfWindow
 from mcg.homology import HomologyResult
 from mcg.replay import replay
-from mcg.rewrite import GoalIndex
+from mcg.rewrite import GoalIndex, reduce_word
 from mcg.script import CONVENTIONS_ID, parse
+from mcg.words import Word
 
 
 def load(name):
@@ -225,6 +226,44 @@ def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
     assert False not in calls
     golden = json.loads(GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8"))
     assert witnesses == [s["witness"] for r in golden["scripts"] for s in r["statements"] if s["kind"] == "Goalset"]
+
+
+DEFAULT_RUNS = (("thmA", 17), ("thmA", 19), ("thmB", 16), ("thmB", 18), ("thmC", None), ("thmD", None))
+
+
+def _rows(runs, budget=None):
+    return [[s.json_fields() for s in replay(load(name), n=n, budget=budget).statements] for name, n in runs]
+
+
+def test_replay_normalizes_each_let_once(monkeypatch):
+    # a passing ASSERT_EQ keeps its right side in commutation-canonical form,
+    # so the full normalization (symmetry push, canonical form and braid
+    # search) runs for the LETs alone
+    calls = []
+    real = mcg.rewrite.normalize
+
+    def normalize(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mcg.rewrite, "normalize", normalize)
+    monkeypatch.setattr(mcg.replay, "normalize", normalize)
+    lets = sum(row["kind"] == "Let" for rows in _rows(DEFAULT_RUNS) for row in rows)
+    assert lets and len(calls) == lets
+
+
+@pytest.mark.parametrize("budget", [0, 5, 50, 300, None])
+def test_canonical_eq_words_give_the_rows_of_reduced_ones(monkeypatch, budget):
+    # the reference stores ``reduce_word(right, budget)`` for each passing
+    # ASSERT_EQ: goal matching must reach the same verdicts and witnesses
+    runs = (("thmA", 17), ("thmC", None), ("thmD", None))
+    rows = _rows(runs, budget)
+
+    def reduced(model, letters, b):
+        return reduce_word(Word(model, tuple(letters)), b.limit).letters
+
+    monkeypatch.setattr(mcg.replay, "canonical", reduced)
+    assert rows == _rows(runs, budget)
 
 
 def test_involution_needs_no_involutive_prefix():
