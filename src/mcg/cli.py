@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="rewrite applications per search, LET reductions included (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
     )
-    v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="homology truncation window, at least 2 (default: %(default)s)")
+    v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="genus or index up to which the homology oracle compares columns, at least 2 (default: %(default)s)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
     v.add_argument("--report-dir", default=None, help="write report.json, statements.csv and figures here")

@@ -1,4 +1,4 @@
-"""Exact-integer homology oracle on a finite-genus truncation.
+"""Exact-integer homology oracle on the first homology of the infinite-genus surface.
 
 Every handle position carries a symplectic pair of first-homology classes
 ``a`` (through the handle) and ``b`` (around it) with ``<a, b> = +1``;
@@ -18,34 +18,35 @@ A right-handed twist about a curve with class c acts as the transvection
 Prop. 6.3), one step, ``_transvect``, for the kernel and the sweeps. The
 braid identity holds for either sign, so the self test pins the sign
 itself: the twist about A[1] sends b_1 to b_1 - a_1. Symmetries act by
-permuting basis positions; handle shifts translate one or two strands by a
-genus step and carry a validity mask excluding columns whose trajectory
-leaves the window.
-A verdict is always relative to the common valid subspace: ``Consistent`` is
-a necessary condition, not a proof. This module owns the window: its default
-``DEFAULT_WINDOW``, its floor ``check_window`` (every ``TruncatedBasis`` runs
-it) and the displacement rule ``check_displacement`` (replay runs it on each
-word it sends to the oracle).
+permuting basis positions, and handle shifts translate one or two strands
+by a genus step. Every image is exact at every genus and index. The one
+mask is the crossing: a shift carries its repelling end's first handle
+across the central region, where the label system gives it no image, so a
+column holding that handle is masked. ``Consistent`` is a necessary
+condition, not a proof.
+
+This module owns the window, which bounds only which columns are compared:
+its default ``DEFAULT_WINDOW``, its floor ``check_window`` (every
+``TruncatedBasis`` runs it) and the displacement rule ``check_displacement``
+(replay runs it on each word it sends to the oracle, so no word reaches past
+the columns compared).
 
 One kernel, ``_push``, applies a word right to left to all start columns
 at once, at a cost that follows the columns twists touch rather than the
 size of the basis. Columns stay in start coordinates: only a column that a
 twist has changed is stored, with a row index (key -> stored columns
-nonzero there); every other live column is the unit vector at its own
-start key, and its row entry is implicit. Symmetry and shift letters
-compose into one pending relabel, the end or index map of an
-``Automorphism`` plus, on ``sn``, a genus offset per end for the shifts. A
-twist pulls its class back through that relabel and pairs only the columns
-holding the mates of its keys. A relabel letter masks the columns holding
-a key that leaves the window; only the leaving keys are looked up in the
-row index (four for a shift, 2|v| for a chain map x -> +-x + v, none for
-an ``sn`` symmetry, which keeps the genus). Images are built on demand.
+nonzero there), and its keys may lie at any genus or index; every other
+live column is the unit vector at its own start key, and its row entry is
+implicit. Symmetry and shift letters compose into one pending relabel, the
+end or index map of an ``Automorphism`` plus, on ``sn``, a genus offset per
+end for the shifts. A twist pulls its class back through that relabel and
+pairs only the columns holding the mates of its keys; a shift looks up its
+two crossing keys in the row index. Images are built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
@@ -57,7 +58,7 @@ from .words import Letter, Shift, Twist, Word
 # basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
 Key = tuple
 Vec = dict[Key, int]
-DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) a replay truncates at
+DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) of the columns a replay compares
 
 
 def check_window(window: int) -> None:
@@ -68,7 +69,9 @@ def check_window(window: int) -> None:
 
 @dataclass(frozen=True)
 class TruncatedBasis:
-    """Ordered symplectic basis of a finite-genus truncation."""
+    """The basis columns up to genus (sn) or index magnitude (chain models)
+    ``window``, in order: the columns a check compares. Their images are
+    exact at every genus and index."""
 
     model: SurfaceModel
     window: int
@@ -101,8 +104,7 @@ class TruncatedBasis:
         return f"{self.model.format_curve(c)}-class"
 
     def class_of(self, c: CurveLabel) -> Vec:
-        """Homology class of a curve; positions may lie outside the window
-        (callers mask columns whose images do)."""
+        """Homology class of a curve, at any position."""
         m = self.model
         if m.kind == "sn":
             if c.family in ("A", "Ap"):
@@ -198,8 +200,9 @@ class _Pushed:
     """A word applied to the unit start columns, kept lazily.
 
     ``cols`` holds, in start coordinates, the columns a twist has changed;
-    every other start outside ``dead`` (the masked ones) is still its own
-    unit vector. ``relabel`` carries start coordinates to the image's.
+    every other start outside ``dead`` (the columns a shift carried across
+    the central region) is still its own unit vector. ``relabel`` carries
+    start coordinates to the image's.
     ``error`` is set when live columns reached a symmetry without a label
     action; the word stopped there and each of them maps to that error.
     """
@@ -220,35 +223,21 @@ class _Pushed:
         return {move(k): c for k, c in self.stored(start).items()}
 
 
-def _leaving(window: int, aut: Automorphism) -> list[Key]:
-    """Keys inside the window that a symmetry carries out of it: a chain
-    map x -> u x + v pushes |v| positions off (at most the whole window);
-    ``sn`` symmetries keep the genus."""
-    if aut.kind == "sn":
-        return []
-    u, v, w = aut.u, aut.v, window
-    # the window's images fill [v - w, v + w]; map back the parts outside [-w, w]
-    out = chain(range(v - w, min(-w, v + w + 1)), range(max(w + 1, v - w), v + w + 1))
-    return [(f, u * (y - v)) for y in out for f in "ab"]
-
-
-def _push(basis: TruncatedBasis, letters: Sequence[Letter], starts: TruncatedBasis | None = None) -> _Pushed:
-    """Apply a word, right to left, to the unit columns at ``starts.keys()``
-    (default ``basis.keys()``, a window no wider than ``basis``) at once.
+def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
+    """Apply a word, right to left, to the unit columns at ``basis.keys()``
+    at once, exactly at every genus and index.
 
     A twist changes only the columns that pair with its class; symmetry and
-    shift letters compose into the pending relabel and mask the columns
-    holding a key that leaves the window, found through the row index.
+    shift letters compose into the pending relabel. The only mask is the
+    crossing: a shift masks the columns holding its repelling end's first
+    handle, found through the row index.
     """
-    inside = basis.in_window
-    starts = starts or basis
-    live = starts.in_window
+    live = basis.in_window
     cols: dict[Key, Vec] = {}
     rows: dict[Key, set[Key]] = {}  # start-coordinate key -> stored columns nonzero there
     dead: set[Key] = set()
-    count = starts.size()
+    count = basis.size()
     relabel = _Relabel(basis.model)
-    classes: dict[CurveLabel, tuple[Vec, bool]] = {}
 
     def holders(key: Key) -> set[Key]:
         found = set(rows.get(key, ()))
@@ -256,21 +245,11 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter], starts: TruncatedBas
             found.add(key)  # an untouched live start
         return found
 
-    def mask(start: Key) -> None:
-        for k in cols.pop(start, ()):
-            rows[k].discard(start)
-        dead.add(start)
-
     for g in reversed(letters):
         if len(dead) == count:
             break
         if isinstance(g, Twist):
-            hit = classes.get(g.label)
-            if hit is None:
-                cls = basis.class_of(g.label)
-                hit = classes[g.label] = (cls, all(inside(k) for k in cls))
-            cls, fits = hit
-            cls = {relabel.back(k): c for k, c in cls.items()}
+            cls = {relabel.back(k): c for k, c in basis.class_of(g.label).items()}
             mates = _mates(cls)
             for start in set().union(*(holders(m) for m, _ in mates)):
                 v = cols.get(start) or {start: 1}
@@ -284,27 +263,20 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter], starts: TruncatedBas
                         rows.setdefault(k, set()).add(start)
                     else:
                         rows[k].discard(start)
-                if not fits:  # the image gains a key outside the window
-                    mask(start)
-            continue
-        if isinstance(g, Shift):
-            # genus W leaves off the attracting end, genus 1 of the other
-            # end would cross the central region
+        elif isinstance(g, Shift):
             h = g.label
             attract, repel = (h.to_end, h.from_end) if g.exp > 0 else (h.from_end, h.to_end)
-            leaving = [(f, attract, basis.window) for f in "ab"] + [(f, repel, 1) for f in "ab"]
+            for f in "ab":
+                for start in holders(relabel.back((f, repel, 1))):
+                    for k in cols.pop(start, ()):
+                        rows[k].discard(start)
+                    dead.add(start)
+            relabel.then_shift(attract, repel)
         else:
             try:
                 aut = basis.model.automorphism_of_word([(g.name, g.exp)])
             except UndefinedSymmetry as e:
                 return _Pushed(cols, dead, relabel, e)
-            leaving = _leaving(basis.window, aut)
-        for key in leaving:
-            for start in holders(relabel.back(key)):
-                mask(start)
-        if isinstance(g, Shift):
-            relabel.then_shift(attract, repel)
-        else:
             relabel.then_symmetry(aut)
     return _Pushed(cols, dead, relabel, None)
 
@@ -375,11 +347,11 @@ def verify_identity_homology(
     w2: Word,
     window: int,
 ) -> HomologyResult:
-    """Compare the homology matrices of two words column by column on the
-    common valid subspace.
+    """Compare the exact homology images of two words column by column,
+    over the columns of the window that the crossing masks on neither side.
 
-    Columns provably fixed by both words are skipped: on ``sn`` models a
-    column whose genus exceeds every touched genus plus the total shift
+    Columns provably fixed by both words are not compared: on ``sn`` models
+    a column whose genus exceeds every touched genus plus the total shift
     displacement never meets a twist class or a shifted strand edge; on the
     chain models the same holds beyond the touched positions plus the total
     translation distance. Of the rest, only columns that a twist changed
@@ -388,12 +360,11 @@ def verify_identity_homology(
     """
     if w1.model is not w2.model:
         return HomologyResult("Inconclusive", "model mismatch")
-    basis = TruncatedBasis(w1.model, window)
     top, disp = _support_bound((w1, w2))
     starts = TruncatedBasis(w1.model, min(window, top + disp + 1))
     checked = starts.size()
-    p1 = _push(basis, w1.letters, starts)
-    p2 = _push(basis, w2.letters, starts)
+    p1 = _push(starts, w1.letters)
+    p2 = _push(starts, w2.letters)
     if p1.error or p2.error:
         # the first start in basis order that was live at an error
         for key in starts.keys():
@@ -414,8 +385,8 @@ def verify_identity_homology(
             valid += 1
             if key in differ:
                 witness = (
-                    f"{basis.key_label(key)} maps to "
-                    f"{_fmt_vec(basis, p1.image(key))} vs {_fmt_vec(basis, p2.image(key))}"
+                    f"{starts.key_label(key)} maps to "
+                    f"{_fmt_vec(starts, p1.image(key))} vs {_fmt_vec(starts, p2.image(key))}"
                 )
                 return HomologyResult("Refuted", witness, valid, checked)
     valid = checked - len(dead)
@@ -442,7 +413,7 @@ def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
 
 @dataclass
 class IntMatrix:
-    """Sparse exact-integer matrix over a truncated basis with a validity
+    """Sparse exact-integer matrix over a window's columns with a validity
     mask: only columns in ``valid`` are asserted."""
 
     basis: TruncatedBasis
@@ -459,19 +430,23 @@ class IntMatrix:
 
 
 def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
-    """Matrix of a word over the whole truncation, masked columns dropped
-    as their trajectories leave the window."""
+    """Matrix of a word on the window's columns: each column is its exact
+    image (empty when the crossing masks it), and it is valid when it was
+    not masked and its image lies inside the window the grid displays."""
     keys = basis.keys()
     p = _push(basis, w.letters)
     if p.error:
         raise p.error
-    return IntMatrix(basis, {k: p.image(k) or {} for k in keys}, frozenset(keys) - p.dead)
+    cols = {k: p.image(k) or {} for k in keys}
+    valid = frozenset(k for k in keys if k not in p.dead and all(map(basis.in_window, cols[k])))
+    return IntMatrix(basis, cols, valid)
 
 
 def transvection_selftest() -> None:
     """Pin the sign through ``word_matrix`` on Jacob's Ladder at window 2:
     the twist about A[1] sends b_1 to b_1 - a_1, A[1] and B[1] braid and
-    preserve the pairing, and the twist about C[2] masks b_2 (its image holds a_3)."""
+    preserve the pairing, and the twist about C[2] leaves b_2 invalid (its
+    image holds a_3, outside the window)."""
     model = load_model("jacob")
     basis = TruncatedBasis(model, 2)
     a, b, c = (Twist(model.curve(f, i), 1) for f, i in (("A", 1), ("B", 1), ("C", 2)))

@@ -188,13 +188,14 @@ def test_shift_times_inverse_identity_on_interior(sn16):
     h, _ = sn16.shift(1, 2)
     w = word(sn16, [Shift(h, 1), Shift(h, -1)])
     m = word_matrix(basis, w)
-    assert m.valid  # doubly-interior columns survive
     assert _identity_on_valid(m)
-    # the inverse shift acts first: strand 2 moves toward the centre (its
-    # genus-1 column leaves the label system) and strand 1 moves outward
-    # (its top column leaves the window)
-    assert ("a", 2, 1) not in m.valid
-    assert ("a", 1, 5) not in m.valid
+    # the inverse shift acts first: strand 2 moves toward the centre, and its
+    # genus-1 column crosses the central region, the only mask. Strand 1
+    # moves out past the window and back, and its top column comes back
+    # valid with its exact image.
+    assert set(basis.keys()) - m.valid == {("a", 2, 1), ("b", 2, 1)}
+    assert m.cols[("a", 1, 5)] == {("a", 1, 5): 1}
+    assert m.cols[("a", 2, 1)] == {}
 
 
 def test_word_matrix_empty_word(sn16):
@@ -242,10 +243,12 @@ def test_verify_refutes_single_twist(sn16):
     assert "B[1,1]" in res.witness
 
 
-def test_verify_inconclusive_when_window_too_small(jacob):
-    w = word(jacob, [Sym("tau2", 1), Sym("tau1", 1)] * 7)  # translation by 7
+def test_verify_refutes_a_translation_past_the_window(jacob):
+    # the images are exact past the window, so the first column already
+    # tells a translation by 7 from the identity
+    w = word(jacob, [Sym("tau2", 1), Sym("tau1", 1)] * 7)
     res = verify_identity_homology(w, Word(jacob, ()), 3)
-    assert res.status == "Inconclusive"
+    assert str(res) == "Refuted(1/14 columns) [A[-3]-class maps to A[4] vs A[-3]]"
 
 
 def test_conjugated_twist_is_transvection_about_image_class(sn17):
@@ -286,18 +289,19 @@ def _shift_key(h, exp, key):
 
 
 def _reference_column(basis, letters, start):
-    """One column pushed through a word on its own; None once it is masked."""
+    """One column pushed exactly through a word on its own; None once a
+    shift carries one of its keys across the central region."""
     v = {start: 1}
     for g in reversed(letters):
         if isinstance(g, Twist):
             v = _twist_apply(v, basis.class_of(g.label), g.exp)
         elif isinstance(g, Shift):
             v = {_shift_key(g.label, g.exp, k): c for k, c in v.items()}
+            if None in v:
+                return None
         else:
             aut = basis.model.automorphism_of_word([(g.name, g.exp)])
             v = {_aut_key(aut, k): c for k, c in v.items()}
-        if any(k is None or not basis.in_window(k) for k in v):
-            return None
     return v
 
 
@@ -310,7 +314,8 @@ def _assert_matches_reference(basis, w):
     else:
         m = word_matrix(basis, w)
         assert m.cols == {k: v or {} for k, v in cols.items()}
-        assert m.valid == {k for k, v in cols.items() if v is not None}
+        # the window applies once, to the final image
+        assert m.valid == {k for k, v in cols.items() if v is not None and all(map(basis.in_window, v))}
 
 
 def _reference_verify(w1, w2, window):
@@ -356,14 +361,15 @@ def test_batched_kernel_matches_per_column_reference(sn16, sn17, jacob, lochness
     assert str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
 
 
-def test_translation_out_and_back_stays_masked(lochness):
-    # H^2 carries indices 2 and 3 off window 3; H^-2 brings them back, but
-    # their columns stay masked. The twist in between is pulled back through
-    # the pending translation: A[3] meets the image b_3 of b_1.
+def test_translation_out_and_back_comes_back_exact(lochness):
+    # H^2 carries indices 2 and 3 off window 3 and H^-2 brings them back:
+    # their columns come back valid with their exact images. The twist in
+    # between is pulled back through the pending translation: A[3] meets the
+    # image b_3 of b_1.
     basis = TruncatedBasis(lochness, 3)
     w = W(lochness, Sym("H", -2), tw(lochness, "A", 3), Sym("H", 2))
     m = word_matrix(basis, w)
-    assert set(basis.keys()) - m.valid == {("a", 2), ("b", 2), ("a", 3), ("b", 3)}
+    assert m.valid == frozenset(basis.keys())
     assert m.cols[("b", 1)] == {("b", 1): 1, ("a", 1): -1}
     assert all(m.cols[k] == {k: 1} for k in m.valid - {("b", 1)})
     _assert_matches_reference(basis, w)

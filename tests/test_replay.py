@@ -136,6 +136,15 @@ def test_window_below_displacement_is_an_error_row():
     assert uses and all(s.line > 36 for s in uses)
 
 
+def test_thmC_rows_do_not_depend_on_the_window():
+    # the window only bounds which columns are compared: the images are
+    # exact past it, so thmC's tau3 conjugation checks all 122 columns at
+    # window 40 as at window 1000
+    rows = {w: [s.json_fields() for s in replay(load("thmC"), window=w).statements] for w in (40, 1000)}
+    assert rows[40] == rows[1000]
+    assert [s["oracle"] for s in rows[40] if s["line"] in (23, 24)] == ["Consistent(122/122 columns)"] * 2
+
+
 def test_window_below_the_floor_raises_before_any_row():
     with pytest.raises(OutOfWindow, match=r"^window must be at least 2$"):
         replay(load("thmC"), window=1)
