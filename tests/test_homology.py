@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import re
 from dataclasses import replace
@@ -23,6 +24,7 @@ from mcg.homology import (
 )
 from mcg.sweeps import random_word
 from mcg.words import Shift, Sym, Twist, Word, invert, word
+from oracle_digest import COMMITTED, oracle_digest
 
 
 def tw(model, fam, *idx, exp=1):
@@ -359,6 +361,12 @@ def test_batched_kernel_matches_per_column_reference(sn16, sn17, jacob, lochness
 
     _assert_matches_reference(TruncatedBasis(model, window), w1)
     assert str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
+
+
+def test_oracle_results_match_the_committed_digest():
+    # 8,000 seeded calls on the four default models: any change to a result
+    # line or to the count of a status changes the digest
+    assert oracle_digest() == json.loads(COMMITTED.read_text(encoding="utf-8"))
 
 
 def test_translation_out_and_back_comes_back_exact(lochness):
