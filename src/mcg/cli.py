@@ -170,7 +170,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         print("NOT NORMALIZED: budget exhausted", file=sys.stderr)
         return 1
     if basis is not None:
-        print(word_matrix(basis, w).grid())
+        m = word_matrix(basis, w)
+        print(m.grid())
+        print(m.invalid_note())
     return 0
 
 

@@ -42,11 +42,24 @@ end or index map of an ``Automorphism`` plus, on ``sn``, a genus offset per
 end for the shifts. A twist pulls its class back through that relabel and
 pairs only the columns holding the mates of its keys; a shift looks up its
 two crossing keys in the row index. Images are built on demand.
+
+A basis class is one integer key, ``(position << 1) | kind``: ``kind`` is 0
+for ``a`` and 1 for ``b``, and ``position`` is ``genus * n + end - 1`` on
+``sn`` and the chain index on the chain models (floor division and the
+arithmetic shift recover both at any genus or index, zero and negative
+included). So a key's mate is ``key ^ 1`` and its pairing sign is its low
+bit. A per-model class table, memoized on the model, holds the class of
+each curve the kernel twists about, as key/coefficient pairs, with its
+mates. Keys turn into the tuples
+``("a"|"b", end, genus)`` and ``("a"|"b", k)`` only where text is printed
+(``key_tuple``), which also fixes the order ``_fmt_vec`` prints them in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
@@ -55,8 +68,7 @@ from .modelfile import load_model
 from .models import Automorphism, SurfaceModel
 from .words import Letter, Shift, Twist, Word
 
-# basis keys: ("a"|"b", end, genus) on sn, ("a"|"b", k) on the chain models
-Key = tuple
+Key = int  # (position << 1) | kind, see the module docstring
 Vec = dict[Key, int]
 DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) of the columns a replay compares
 
@@ -67,6 +79,56 @@ def check_window(window: int) -> None:
         raise OutOfWindow("window must be at least 2")
 
 
+def key_of(model: SurfaceModel, kind: str, *position: int) -> Key:
+    """The key of the class ``kind`` ("a" or "b") at ``end, genus`` on sn
+    or at chain index ``k`` on the chain models."""
+    if model.kind == "sn":
+        end, genus = position
+        pos = genus * model.n + end - 1
+    else:
+        (pos,) = position
+    return (pos << 1) | (kind == "b")
+
+
+def key_tuple(model: SurfaceModel, key: Key) -> tuple:
+    """``key`` as ``("a"|"b", end, genus)`` on sn or ``("a"|"b", k)`` on the
+    chain models: the form printed text names and orders keys by."""
+    kind = "ab"[key & 1]
+    if model.kind == "sn":
+        genus, end = divmod(key >> 1, model.n)
+        return (kind, end + 1, genus)
+    return (kind, key >> 1)
+
+
+def _mates(cls: Vec) -> list[tuple[Key, int]]:
+    """<v, cls> is the sum of weight * v[mate] over these (mate, weight)."""
+    return [(k ^ 1, c if k & 1 else -c) for k, c in cls.items()]
+
+
+def _class(model: SurfaceModel, c: CurveLabel) -> Vec:
+    """The homology class of a curve, at any position."""
+    a = partial(key_of, model, "a")
+    if c.family in ("A", "Ap", "B"):
+        pos = (c.end, c.index) if model.kind == "sn" else (c.index,)
+        return {key_of(model, "b" if c.family == "B" else "a", *pos): 1}
+    if model.kind != "sn":
+        return {a(c.index): 1, a(c.index + 1): -1}
+    if c.index == 0:
+        return {a(c.end, 1): 1, a(model._norm_end(c.end + 1), 1): -1}
+    return {a(c.end, c.index): 1, a(c.end, c.index + 1): -1}
+
+
+def _class_entry(model: SurfaceModel, c: CurveLabel) -> tuple[Vec, list[tuple[Key, int]]]:
+    """The class table of the kernel: the class of a twist's curve with its
+    ``_mates``, memoized on the model. Callers do not mutate either."""
+    table: dict = model._hcache  # type: ignore[attr-defined]
+    hit = table.get(c)
+    if hit is None:
+        cls = _class(model, c)
+        hit = table[c] = (cls, _mates(cls))
+    return hit
+
+
 @dataclass(frozen=True)
 class TruncatedBasis:
     """The basis columns up to genus (sn) or index magnitude (chain models)
@@ -75,70 +137,53 @@ class TruncatedBasis:
 
     model: SurfaceModel
     window: int
+    # the window's keys fill one range of key values: genus 1 to window at
+    # every end (sn), index -window to window (chain models)
+    span: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_window(self.window)
+        w, n = self.window, self.model.n
+        span = range(2 * n, 2 * n * (w + 1)) if self.model.kind == "sn" else range(-2 * w, 2 * w + 2)
+        object.__setattr__(self, "span", span)
 
     def keys(self) -> list[Key]:
-        """Keys in basis order."""
+        """Keys in basis order: by end, then genus, on sn; by index on the
+        chain models; ``a`` before ``b`` at each position."""
         w = self.window
         if self.model.kind == "sn":
-            return [(f, e, i) for e in range(1, self.model.n + 1) for i in range(1, w + 1) for f in "ab"]
-        return [(f, k) for k in range(-w, w + 1) for f in "ab"]
+            n = self.model.n
+            return [((i * n + e) << 1) | f for e in range(n) for i in range(1, w + 1) for f in (0, 1)]
+        return list(self.span)
 
     def size(self) -> int:
         """``len(self.keys())``, without building the keys."""
-        w = self.window
-        return 2 * self.model.n * w if self.model.kind == "sn" else 2 * (2 * w + 1)
+        return len(self.span)
 
     def in_window(self, key: Key) -> bool:
-        if self.model.kind == "sn":
-            return 1 <= key[2] <= self.window
-        return -self.window <= key[1] <= self.window
+        return key in self.span
 
     def key_label(self, key: Key) -> str:
-        fam = "A" if key[0] == "a" else "B"
+        kind, *pos = key_tuple(self.model, key)
+        fam = "A" if kind == "a" else "B"
         if self.model.kind == "sn":
-            return f"{fam}[{key[2]},{key[1]}]-class"
-        c = CurveLabel(fam, key[1])
-        return f"{self.model.format_curve(c)}-class"
+            end, genus = pos
+            return f"{fam}[{genus},{end}]-class"
+        return f"{self.model.format_curve(CurveLabel(fam, pos[0]))}-class"
 
     def class_of(self, c: CurveLabel) -> Vec:
         """Homology class of a curve, at any position."""
-        m = self.model
-        if m.kind == "sn":
-            if c.family in ("A", "Ap"):
-                return {("a", c.end, c.index): 1}
-            if c.family == "B":
-                return {("b", c.end, c.index): 1}
-            if c.index == 0:
-                return {("a", c.end, 1): 1, ("a", m._norm_end(c.end + 1), 1): -1}
-            return {("a", c.end, c.index): 1, ("a", c.end, c.index + 1): -1}
-        if c.family in ("A", "Ap"):
-            return {("a", c.index): 1}
-        if c.family == "B":
-            return {("b", c.index): 1}
-        return {("a", c.index): 1, ("a", c.index + 1): -1}
-
-
-def _mate(key: Key) -> Key:
-    """The key pairing with ``key``: a_x <-> b_x at the same position."""
-    return ("b" if key[0] == "a" else "a",) + key[1:]
+        return _class(self.model, c)
 
 
 def pairing(u: Vec, v: Vec) -> int:
     """The skew form: <a_x, b_x> = 1 position-wise."""
     total = 0
     for key, cu in u.items():
-        cv = v.get(_mate(key))
+        cv = v.get(key ^ 1)
         if cv:
-            total += cu * cv if key[0] == "a" else -cu * cv
+            total += -cu * cv if key & 1 else cu * cv
     return total
-
-
-def _mates(cls: Vec) -> list[tuple[Key, int]]:
-    """<v, cls> is the sum of weight * v[mate] over these (mate, weight)."""
-    return [(_mate(k), -c if k[0] == "a" else c) for k, c in cls.items()]
 
 
 def _transvect(v: Vec, cls: Vec, mates: list[tuple[Key, int]], exp: int) -> int:
@@ -161,27 +206,42 @@ def _transvect(v: Vec, cls: Vec, mates: list[tuple[Key, int]], exp: int) -> int:
 class _Relabel:
     """The symmetry and shift letters applied so far, as one key map from
     start coordinates to current ones: the end (sn) or index (chain) map of
-    an ``Automorphism``, and on ``sn`` a genus offset per start end."""
+    an ``Automorphism``, and on ``sn`` a genus offset per start end. Both
+    keep a key's kind bit."""
 
     def __init__(self, model: SurfaceModel):
-        self.sn = model.kind == "sn"
-        self.aut = self.inv = Automorphism.identity(model)
+        self.n = model.n if model.kind == "sn" else 0  # 0 on the chain models
+        self.aut = Automorphism.identity(model)
+        self._inv: Automorphism | None = self.aut  # None until asked for after a symmetry
         self.lift: dict[int, int] = {}  # start end -> genus offset (sn)
+        self.moved = False  # False while the map is the identity
+
+    @property
+    def inv(self) -> Automorphism:
+        if self._inv is None:
+            self._inv = self.aut.inverse()
+        return self._inv
 
     def forward(self, key: Key) -> Key:
-        if self.sn:
-            return (key[0], self.aut._map_end(key[1]), key[2] + self.lift.get(key[1], 0))
-        return (key[0], self.aut._map_index(key[1]))
+        n = self.n
+        if n:
+            genus, end = divmod(key >> 1, n)
+            lift = self.lift.get(end + 1, 0)
+            return (((genus + lift) * n + self.aut._map_end(end + 1) - 1) << 1) | (key & 1)
+        return (self.aut._map_index(key >> 1) << 1) | (key & 1)
 
     def back(self, key: Key) -> Key:
-        if self.sn:
-            end = self.inv._map_end(key[1])
-            return (key[0], end, key[2] - self.lift.get(end, 0))
-        return (key[0], self.inv._map_index(key[1]))
+        n = self.n
+        if n:
+            genus, end = divmod(key >> 1, n)
+            start = self.inv._map_end(end + 1)
+            return (((genus - self.lift.get(start, 0)) * n + start - 1) << 1) | (key & 1)
+        return (self.inv._map_index(key >> 1) << 1) | (key & 1)
 
     def then_symmetry(self, aut: Automorphism) -> None:
         self.aut = aut.compose(self.aut)
-        self.inv = self.inv.compose(aut.inverse())
+        self._inv = None
+        self.moved = True
 
     def then_shift(self, attract: int, repel: int) -> None:
         """A shift moves its attracting end's strand out by one handle and
@@ -189,6 +249,7 @@ class _Relabel:
         for end, step in ((attract, 1), (repel, -1)):
             start = self.inv._map_end(end)
             self.lift[start] = self.lift.get(start, 0) + step
+        self.moved = True
 
     def signature(self) -> tuple:
         """Equal signatures mean equal key maps."""
@@ -223,58 +284,80 @@ class _Pushed:
         return {move(k): c for k, c in self.stored(start).items()}
 
 
+def _crossing(model: SurfaceModel, repel: int) -> tuple[Key, ...]:
+    """The keys, in current coordinates, that a shift with repelling end
+    ``repel`` carries across the central region: that end's first handle."""
+    a = key_of(model, "a", repel, 1)
+    return a, a ^ 1
+
+
 def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
     """Apply a word, right to left, to the unit columns at ``basis.keys()``
     at once, exactly at every genus and index.
 
     A twist changes only the columns that pair with its class; symmetry and
     shift letters compose into the pending relabel. The only mask is the
-    crossing: a shift masks the columns holding its repelling end's first
-    handle, found through the row index.
+    crossing: a shift masks the columns holding the ``_crossing`` keys,
+    found through the row index.
     """
-    live = basis.in_window
+    model = basis.model
+    live = basis.span
     cols: dict[Key, Vec] = {}
-    rows: dict[Key, set[Key]] = {}  # start-coordinate key -> stored columns nonzero there
+    rows: defaultdict[Key, set[Key]] = defaultdict(set)  # start-coordinate key -> stored columns nonzero there
     dead: set[Key] = set()
     count = basis.size()
-    relabel = _Relabel(basis.model)
+    relabel = _Relabel(model)
 
-    def holders(key: Key) -> set[Key]:
-        found = set(rows.get(key, ()))
-        if key not in cols and key not in dead and live(key):
+    def holders(key: Key, found: set[Key]) -> None:
+        """Add the starts whose column is nonzero at ``key`` to ``found``."""
+        held = rows.get(key)
+        if held:
+            found |= held
+        if key not in cols and key not in dead and key in live:
             found.add(key)  # an untouched live start
-        return found
 
     for g in reversed(letters):
         if len(dead) == count:
             break
-        if isinstance(g, Twist):
-            cls = {relabel.back(k): c for k, c in basis.class_of(g.label).items()}
-            mates = _mates(cls)
-            for start in set().union(*(holders(m) for m, _ in mates)):
-                v = cols.get(start) or {start: 1}
-                if not _transvect(v, cls, mates, g.exp):
-                    continue
-                if start not in cols:
+        t = type(g)
+        if t is Twist:
+            cls, mates = _class_entry(model, g.label)
+            if relabel.moved:
+                back = relabel.back
+                cls = {back(k): c for k, c in cls.items()}
+                mates = _mates(cls)
+            found: set[Key] = set()
+            for m, _ in mates:
+                holders(m, found)
+            for start in found:
+                v = cols.get(start)
+                if v is None:
+                    v = {start: 1}
+                    if not _transvect(v, cls, mates, g.exp):
+                        continue
                     cols[start] = v
-                    rows.setdefault(start, set()).add(start)
+                    rows[start].add(start)
+                elif not _transvect(v, cls, mates, g.exp):
+                    continue
                 for k in cls:
                     if k in v:
-                        rows.setdefault(k, set()).add(start)
+                        rows[k].add(start)
                     else:
                         rows[k].discard(start)
-        elif isinstance(g, Shift):
+        elif t is Shift:
             h = g.label
             attract, repel = (h.to_end, h.from_end) if g.exp > 0 else (h.from_end, h.to_end)
-            for f in "ab":
-                for start in holders(relabel.back((f, repel, 1))):
-                    for k in cols.pop(start, ()):
-                        rows[k].discard(start)
-                    dead.add(start)
+            found = set()
+            for key in _crossing(model, repel):
+                holders(relabel.back(key), found)
+            for start in found:
+                for k in cols.pop(start, ()):
+                    rows[k].discard(start)
+                dead.add(start)
             relabel.then_shift(attract, repel)
         else:
             try:
-                aut = basis.model.automorphism_of_word([(g.name, g.exp)])
+                aut = model.automorphism_of_word((g,))
             except UndefinedSymmetry as e:
                 return _Pushed(cols, dead, relabel, e)
             relabel.then_symmetry(aut)
@@ -308,24 +391,24 @@ def _support_bound(words: Iterable[Word]) -> tuple[int, int]:
     """
     top, disp = 0, 1
     for w in words:
-        shifts = 0
-        maxv = 0
-        aut = Automorphism.identity(w.model)
+        model = w.model
+        chain = model.kind != "sn"
+        shifts = maxv = 0
+        aut = None  # the symmetry letters so far, once there is one
         for g in reversed(w.letters):
-            if isinstance(g, Twist):
+            t = type(g)
+            if t is Twist:
                 top = max(top, abs(g.label.index) + 1)
-            elif isinstance(g, Shift):
+            elif t is Shift:
                 shifts += 1
-            elif w.model.kind != "sn":
+            elif chain:
                 try:
-                    step = w.model.automorphism_of_word([(g.name, g.exp)])
+                    step = model.automorphism_of_word((g,))
                 except UndefinedSymmetry:
-                    step = None
-                if step is not None:
-                    aut = step.compose(aut)
-                    maxv = max(maxv, abs(aut.v))
-                else:
                     maxv = max(maxv, abs(g.exp))
+                    continue
+                aut = step if aut is None else step.compose(aut)
+                maxv = max(maxv, abs(aut.v))
         disp = max(disp, shifts + maxv + 1)
     return top, disp
 
@@ -364,7 +447,9 @@ def verify_identity_homology(
     starts = TruncatedBasis(w1.model, min(window, top + disp + 1))
     checked = starts.size()
     p1 = _push(starts, w1.letters)
-    p2 = _push(starts, w2.letters)
+    # a replay often checks a word against itself: one push serves both sides
+    same = w2.letters == w1.letters
+    p2 = p1 if same else _push(starts, w2.letters)
     if p1.error or p2.error:
         # the first start in basis order that was live at an error
         for key in starts.keys():
@@ -372,7 +457,9 @@ def verify_identity_homology(
                 if p.error and key not in p.dead:
                     return HomologyResult("Inconclusive", str(p.error))
     dead = p1.dead | p2.dead
-    if p1.relabel.signature() == p2.relabel.signature():
+    if same:
+        differ: set[Key] = set()
+    elif p1.relabel.signature() == p2.relabel.signature():
         # a column untouched on both sides is one unit vector, relabelled alike
         differ = {k for k in p1.cols.keys() | p2.cols.keys() if k not in dead and p1.stored(k) != p2.stored(k)}
     else:
@@ -399,7 +486,7 @@ def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
     if not v:
         return "0"
     parts = []
-    for key in sorted(v):
+    for key in sorted(v, key=partial(key_tuple, basis.model)):
         c = v[key]
         lab = basis.key_label(key).removesuffix("-class")
         parts.append(("+" if c > 0 else "-") + (f"{abs(c)}*" if abs(c) != 1 else "") + lab)
@@ -428,6 +515,16 @@ class IntMatrix:
             lines.append(" ".join(str(self.cols[col].get(row, 0)) for col in keys))
         return "\n".join(lines)
 
+    def invalid_note(self) -> str:
+        """One line naming each column that is not valid, in basis order, and
+        why: a masked column has an empty image, any other leaves the window."""
+        notes = [
+            f"{self.basis.key_label(k)} ({'image leaves the window' if self.cols[k] else 'masked at the crossing'})"
+            for k in self.basis.keys()
+            if k not in self.valid
+        ]
+        return f"invalid columns: {', '.join(notes) or 'none'}"
+
 
 def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
     """Matrix of a word on the window's columns: each column is its exact
@@ -443,24 +540,41 @@ def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
 
 
 def transvection_selftest() -> None:
-    """Pin the sign through ``word_matrix`` on Jacob's Ladder at window 2:
-    the twist about A[1] sends b_1 to b_1 - a_1, A[1] and B[1] braid and
-    preserve the pairing, and the twist about C[2] leaves b_2 invalid (its
-    image holds a_3, outside the window)."""
+    """Pin the sign and the crossing through ``word_matrix``. On Jacob's
+    Ladder at window 2: the twist about A[1] sends b_1 to b_1 - a_1, A[1]
+    and B[1] braid and preserve the pairing, and the twist about C[2] leaves
+    b_2 invalid (its image holds a_3, outside the window). On S(3) at
+    window 2, h[1,2] moves the attracting strand up and the repelling one
+    down, masks the repelling end's genus-1 column and fixes strand 3."""
     model = load_model("jacob")
     basis = TruncatedBasis(model, 2)
+    key = partial(key_of, model)
     a, b, c = (Twist(model.curve(f, i), 1) for f, i in (("A", 1), ("B", 1), ("C", 2)))
 
     def matrix(*letters: Letter) -> IntMatrix:
         return word_matrix(basis, Word(model, letters))
 
-    got = matrix(a).cols[("b", 1)]
-    if got != {("a", 1): -1, ("b", 1): 1}:
+    ma, mb = matrix(a).cols, matrix(b).cols
+    got = ma[key("b", 1)]
+    if got != {key("a", 1): -1, key("b", 1): 1}:
         raise AssertionError(f"the twist about A[1] sends b_1 to {_fmt_vec(basis, got)}, not B[1]-A[1]")
     if matrix(a, b, a).cols != matrix(b, a, b).cols:
         raise AssertionError("braid identity failed for A[1], B[1]")
-    if ("b", 2) in matrix(c).valid:
+    if key("b", 2) in matrix(c).valid:
         raise AssertionError("the twist about C[2] leaves b_2 valid, but its image leaves the window")
-    for m in (matrix(a).cols, matrix(b).cols):
+    for m in (ma, mb):
         if any(pairing(m[x], m[y]) != pairing({x: 1}, {y: 1}) for x in m for y in m):
             raise AssertionError("transvection does not preserve the pairing")
+
+    sn = load_model("sn", 3)
+    a = partial(key_of, sn, "a")
+    h, sign = sn.shift(1, 2)
+    m = word_matrix(TruncatedBasis(sn, 2), Word(sn, (Shift(h, sign),)))
+    for start, image, fact in (
+        (a(2, 1), {a(2, 2): 1}, "moves the attracting strand up"),
+        (a(1, 2), {a(1, 1): 1}, "moves the repelling strand down"),
+        (a(1, 1), {}, "masks the repelling end's genus-1 column"),
+        (a(3, 1), {a(3, 1): 1}, "fixes strand 3"),
+    ):
+        if m.cols[start] != image or (start in m.valid) != bool(image):
+            raise AssertionError(f"h[1,2] no longer {fact} on S(3)")

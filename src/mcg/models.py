@@ -198,10 +198,11 @@ class SurfaceModel:
     removed: frozenset[frozenset[CurveLabel]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        # neighbour and symmetry-word memos: idempotent values, filled on
-        # first use; the model is otherwise immutable
+        # neighbour, symmetry-word and homology-class memos: idempotent
+        # values, filled on first use; the model is otherwise immutable
         object.__setattr__(self, "_ncache", {})
         object.__setattr__(self, "_acache", {})
+        object.__setattr__(self, "_hcache", {})
 
     # -- label plumbing ----------------------------------------------------
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from .homology import Key, TruncatedBasis, _mate, _mates, _Relabel, _transvect, pairing, verify_identity_homology
+from .homology import Key, TruncatedBasis, _mates, _Relabel, _transvect, key_tuple, pairing, verify_identity_homology
 from .models import SurfaceModel
 from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
@@ -82,7 +83,7 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
         # different class, so the comparison below could only count it
         near = {position[x] for x in model.neighbors(c1) if x in position}
         for key in v1:
-            near.update(holders[key], holders.get(_mate(key), ()))
+            near.update(holders[key], holders.get(key ^ 1, ()))
         for j in sorted(j for j in near if j > i):
             c2 = labels[j]
             v2 = cls[c2]
@@ -141,7 +142,7 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
         for key in set(v1) | set(v2):
             checked += 1
             if t(key, c1, c2, c1) != t(key, c2, c1, c2):
-                issues.append(f"braid identity failed for {fmt(c1)},{fmt(c2)} at {key}")
+                issues.append(f"braid identity failed for {fmt(c1)},{fmt(c2)} at {key_tuple(model, key)}")
         if all(t(k, c2, c1) == t(k, c1, c2) for k in set(v1) | set(v2)):
             issues.append(f"matrices of {fmt(c1)},{fmt(c2)} commute despite i=1")
     for c1, c2 in sample_disjoint:
@@ -149,7 +150,7 @@ def homology_property_sweep(model: SurfaceModel, window: int) -> SweepReport:
         for key in set(v1) | set(v2):
             checked += 1
             if t(key, c2, c1) != t(key, c1, c2):
-                issues.append(f"disjoint pair {fmt(c1)},{fmt(c2)} fails to commute at {key}")
+                issues.append(f"disjoint pair {fmt(c1)},{fmt(c2)} fails to commute at {key_tuple(model, key)}")
 
     return SweepReport("homology sweep", checked, degenerate, tuple(issues))
 
@@ -166,28 +167,30 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
     A twist that breaks the form is reported once, at its first broken pair.
     """
     basis = TruncatedBasis(model, window + 2)
+    as_tuple = partial(key_tuple, model)
     issues: list[str] = []
     checked = 0
 
     for c in model.labels_in_window(window):
         cls = basis.class_of(c)
         mates = _mates(cls)
-        keys = sorted({k for key in cls for k in (key, _mate(key))})
+        # in the order of the printed tuples, which decides the pair reported
+        keys = sorted({k for key in cls for k in (key, key ^ 1)}, key=as_tuple)
         images = [{x: 1} for x in keys]
         for image in images:
             _transvect(image, cls, mates, 1)
         for x, mx in zip(keys, images):
             # the unit pairing <x, y>: +1 at y = b_x for x = a_x, -1 at
             # y = a_x for x = b_x, 0 elsewhere
-            mate, unit = _mate(x), 1 if x[0] == "a" else -1
+            unit = -1 if x & 1 else 1
             for y, my in zip(keys, images):
                 checked += 1
-                if pairing(mx, my) != (unit if y == mate else 0):
+                if pairing(mx, my) != (unit if y == x ^ 1 else 0):
                     break
             else:
                 continue
             # one line per label: its first broken pair
-            issues.append(f"twist about {model.format_curve(c)} breaks the pairing at ({x},{y})")
+            issues.append(f"twist about {model.format_curve(c)} breaks the pairing at ({as_tuple(x)},{as_tuple(y)})")
             if len(issues) > 25:
                 return SweepReport("pairing preservation", checked, 0, tuple(issues))
             break
@@ -203,10 +206,10 @@ def pairing_preservation_sweep(model: SurfaceModel, window: int) -> SweepReport:
             img = relabel.forward(key)
             checked += 1
             if img in seen:
-                issues.append(f"{name} maps two classes onto {img}")
+                issues.append(f"{name} maps two classes onto {as_tuple(img)}")
             seen[img] = key
-            if img[0] != key[0]:
-                issues.append(f"{name} mixes a/b kinds at {key}")
+            if (img ^ key) & 1:
+                issues.append(f"{name} mixes a/b kinds at {as_tuple(key)}")
             if len(issues) > 25:
                 return SweepReport("pairing preservation", checked, 0, tuple(issues))
         # per-handle block coherence gives <Px,Py> = <x,y> for all pairs

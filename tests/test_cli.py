@@ -256,6 +256,35 @@ def test_normalize_matrix_grid(capsys):
     out = capsys.readouterr().out
     rows = [r for r in out.splitlines()[1:] if r and re.fullmatch(r"[\d\- ]+", r)]
     assert len(rows) == 10  # 2*(2*2+1) basis classes
+    assert out.splitlines()[-1] == "invalid columns: none"
+
+
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        (
+            ["tau2 tau1 tau2 tau1", "--model", "jacob"],
+            "invalid columns: A[1]-class (image leaves the window), B[1]-class (image leaves the window),"
+            " A[2]-class (image leaves the window), B[2]-class (image leaves the window)",
+        ),
+        (
+            ["h[1,2]", "--model", "sn", "--n", "3"],
+            "invalid columns: A[1,1]-class (masked at the crossing), B[1,1]-class (masked at the crossing),"
+            " A[2,2]-class (image leaves the window), B[2,2]-class (image leaves the window)",
+        ),
+    ],
+    ids=["jacob-translation", "sn-shift"],
+)
+def test_normalize_matrix_names_the_invalid_columns(capsys, argv, note):
+    # the translation by 2 carries indices 1 and 2 past window 2; the shift
+    # masks the repelling end's first handle and carries the attracting
+    # end's top handle out. The grid rows come before the note, unchanged.
+    assert main(["normalize", *argv, "--matrix", "--matrix-window", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = out[1:-1]
+    assert all(re.fullmatch(r"[\d\- ]+", r) for r in rows)
+    assert len(rows) == (10 if "jacob" in argv else 12)
+    assert out[-1] == note
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from mcg.homology import (
     TruncatedBasis,
     _fmt_vec,
     _support_bound,
+    key_of,
+    key_tuple,
     pairing,
     transvection_selftest,
     verify_identity_homology,
@@ -54,10 +57,22 @@ def test_selftest_passes():
     transvection_selftest()
 
 
-def test_selftest_fails_a_kernel_that_never_masks(monkeypatch):
+def test_selftest_fails_when_out_of_window_columns_count_as_valid(monkeypatch):
     monkeypatch.setattr(TruncatedBasis, "in_window", lambda self, key: True)
     with pytest.raises(AssertionError, match=r"the twist about C\[2\] leaves b_2 valid"):
         transvection_selftest()
+
+
+def test_selfcheck_fails_a_kernel_without_the_crossing_mask(monkeypatch, capsys):
+    # without the mask, h[1,2] carries the repelling end's genus-1 column to
+    # genus 0 instead of masking it; only the self test's shift looks there
+    monkeypatch.setattr(mcg.homology, "_crossing", lambda model, repel: ())
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("[ok]")] == [
+        "[FAIL] transvection sign convention self-test: "
+        "h[1,2] no longer masks the repelling end's genus-1 column on S(3)"
+    ]
 
 
 def test_selfcheck_runs_the_oracle_kernel(monkeypatch, capsys):
@@ -93,6 +108,55 @@ def test_selfcheck_fails_with_every_twist_inverted(monkeypatch, capsys):
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_key_layout_round_trips_and_pairs_a_with_b(sn16, sn17, jacob, lochness, data):
+    # keys at any genus or index, zero, negative and past every window
+    # included, turn into their tuples and back
+    model = data.draw(st.sampled_from((sn16, sn17, jacob, lochness)))
+    kind = data.draw(st.sampled_from("ab"))
+    if model.kind == "sn":
+        position = (data.draw(st.integers(1, model.n)), data.draw(st.integers(-60, 60)))
+    else:
+        position = (data.draw(st.integers(-60, 60)),)
+    key = key_of(model, kind, *position)
+    assert key_tuple(model, key) == (kind, *position)
+    assert key_of(model, *key_tuple(model, key)) == key
+    # the mate is the other kind at the same position, and the low bit is
+    # the sign of the pairing
+    mate = key ^ 1
+    assert key_tuple(model, mate) == ("b" if kind == "a" else "a", *position)
+    assert pairing({key: 1}, {mate: 1}) == (1 if kind == "a" else -1)
+    assert pairing({key: 1}, {key: 1}) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fmt_vec_orders_keys_as_their_tuples(sn16, jacob, lochness, data):
+    model = data.draw(st.sampled_from((sn16, jacob, lochness)))
+    if model.kind == "sn":
+        tuples = st.tuples(st.sampled_from("ab"), st.integers(1, model.n), st.integers(-3, 45))
+    else:
+        tuples = st.tuples(st.sampled_from("ab"), st.integers(-45, 45))
+    vec = data.draw(st.dictionaries(tuples, st.integers(-3, 3).filter(bool), max_size=6))
+    basis = TruncatedBasis(model, 3)
+    parts = []
+    for t in sorted(vec):
+        c = vec[t]
+        lab = basis.key_label(key_of(model, *t)).removesuffix("-class")
+        parts.append(("+" if c > 0 else "-") + (f"{abs(c)}*" if abs(c) != 1 else "") + lab)
+    want = "".join(parts).removeprefix("+") or "0"
+    assert _fmt_vec(basis, {key_of(model, *t): c for t, c in vec.items()}) == want
+
+
+def test_fmt_vec_sorts_by_kind_then_end_then_genus(sn16):
+    # key values run genus-major, the printed order end-major
+    k = partial(key_of, sn16)
+    v = {k("b", 1, 1): 1, k("a", 2, 1): 1, k("a", 1, 3): -2}
+    assert sorted(v) == [k("b", 1, 1), k("a", 2, 1), k("a", 1, 3)]
+    assert _fmt_vec(TruncatedBasis(sn16, 3), v) == "-2*A[3,1]+A[1,2]+B[1,1]"
+
+
 def _identity_on_valid(m):
     return all(m.cols[k] == {k: 1} for k in m.valid)
 
@@ -117,10 +181,11 @@ def _agree_on_valid(m1, m2):
 
 def test_twist_is_transvection_on_symplectic_pair(lochness):
     basis = TruncatedBasis(lochness, 4)
+    k = partial(key_of, lochness)
     m = word_matrix(basis, W(lochness, tw(lochness, "A", 1)))
-    assert m.cols[("a", 1)] == {("a", 1): 1}
-    assert m.cols[("b", 1)] == {("b", 1): 1, ("a", 1): -1}
-    assert m.cols[("b", 2)] == {("b", 2): 1}
+    assert m.cols[k("a", 1)] == {k("a", 1): 1}
+    assert m.cols[k("b", 1)] == {k("b", 1): 1, k("a", 1): -1}
+    assert m.cols[k("b", 2)] == {k("b", 2): 1}
     assert _preserves_pairing_on_valid(m)
 
 
@@ -128,7 +193,7 @@ def test_twist_identity_on_disjoint_strand(sn16):
     basis = TruncatedBasis(sn16, 4)
     m = word_matrix(basis, W(sn16, tw(sn16, "A", 1, 1)))
     for key in basis.keys():
-        if key[1] != 1:
+        if key_tuple(sn16, key)[1] != 1:
             assert m.cols[key] == {key: 1}
 
 
@@ -143,8 +208,9 @@ def test_out_of_window_twist_rejected(lochness):
     # C[3] has class a_3 - a_4; a_4 lies outside window 3, so exactly the
     # column pairing with it, b_3, is masked
     basis = TruncatedBasis(lochness, 3)
+    k = partial(key_of, lochness)
     m = word_matrix(basis, W(lochness, tw(lochness, "C", 3)))
-    assert set(basis.keys()) - m.valid == {("b", 3)}
+    assert set(basis.keys()) - m.valid == {k("b", 3)}
 
 
 def test_symmetry_matrix_involution_and_rotation_order(sn16):
@@ -168,25 +234,28 @@ def test_symmetry_conjugates_twist_matrix(sn17):
 def test_shift_matrix_interior_and_mask(lochness):
     # the distinguished shift is the alias H = tau1 tau2
     basis = TruncatedBasis(lochness, 4)
+    k = partial(key_of, lochness)
     m = word_matrix(basis, W(lochness, Sym("H", 1)))
-    assert m.cols[("a", 0)] == {("a", 1): 1}
-    assert ("a", 4) not in m.valid  # image leaves the window
-    assert ("b", 4) not in m.valid
+    assert m.cols[k("a", 0)] == {k("a", 1): 1}
+    assert k("a", 4) not in m.valid  # image leaves the window
+    assert k("b", 4) not in m.valid
 
 
 def test_sn_shift_edges_masked(sn16):
     basis = TruncatedBasis(sn16, 4)
+    k = partial(key_of, sn16)
     h, _ = sn16.shift(1, 2)
     m = word_matrix(basis, W(sn16, Shift(h, 1)))
-    assert m.cols[("a", 2, 2)] == {("a", 2, 3): 1}  # attracting strand moves up
-    assert m.cols[("a", 1, 2)] == {("a", 1, 1): 1}  # repelling strand moves down
-    assert ("a", 1, 1) not in m.valid  # would cross the central region
-    assert ("a", 2, 4) not in m.valid  # leaves the window
-    assert m.cols[("a", 3, 2)] == {("a", 3, 2): 1}  # untouched strand
+    assert m.cols[k("a", 2, 2)] == {k("a", 2, 3): 1}  # attracting strand moves up
+    assert m.cols[k("a", 1, 2)] == {k("a", 1, 1): 1}  # repelling strand moves down
+    assert k("a", 1, 1) not in m.valid  # would cross the central region
+    assert k("a", 2, 4) not in m.valid  # leaves the window
+    assert m.cols[k("a", 3, 2)] == {k("a", 3, 2): 1}  # untouched strand
 
 
 def test_shift_times_inverse_identity_on_interior(sn16):
     basis = TruncatedBasis(sn16, 5)
+    k = partial(key_of, sn16)
     h, _ = sn16.shift(1, 2)
     w = word(sn16, [Shift(h, 1), Shift(h, -1)])
     m = word_matrix(basis, w)
@@ -195,9 +264,9 @@ def test_shift_times_inverse_identity_on_interior(sn16):
     # genus-1 column crosses the central region, the only mask. Strand 1
     # moves out past the window and back, and its top column comes back
     # valid with its exact image.
-    assert set(basis.keys()) - m.valid == {("a", 2, 1), ("b", 2, 1)}
-    assert m.cols[("a", 1, 5)] == {("a", 1, 5): 1}
-    assert m.cols[("a", 2, 1)] == {}
+    assert set(basis.keys()) - m.valid == {k("a", 2, 1), k("b", 2, 1)}
+    assert m.cols[k("a", 1, 5)] == {k("a", 1, 5): 1}
+    assert m.cols[k("a", 2, 1)] == {}
 
 
 def test_word_matrix_empty_word(sn16):
@@ -257,12 +326,13 @@ def test_conjugated_twist_is_transvection_about_image_class(sn17):
     # B1 A1 B1~ acts as the transvection about the image of the a-class
     # under the b-twist: computed directly as an independent check
     basis = TruncatedBasis(sn17, 4)
+    k = partial(key_of, sn17)
     w = word(
         sn17,
         [tw(sn17, "B", 1, 1), tw(sn17, "A", 1, 1), tw(sn17, "B", 1, 1, exp=-1)],
     )
     got = word_matrix(basis, w)
-    image_class = {("a", 1, 1): 1, ("b", 1, 1): 1}  # T_b(a) = a + <a,b> b
+    image_class = {k("a", 1, 1): 1, k("b", 1, 1): 1}  # T_b(a) = a + <a,b> b
     expected_cols = {}
     for key in basis.keys():
         expected_cols[key] = _twist_apply({key: 1}, image_class, 1)
@@ -270,24 +340,25 @@ def test_conjugated_twist_is_transvection_about_image_class(sn17):
         assert got.cols[key] == expected_cols[key], key
 
 
-def _aut_key(aut, key):
+def _aut_key(model, aut, key):
     """Basis key carried by a symmetry's label action."""
+    key = key_tuple(model, key)
     if aut.kind == "sn":
-        return (key[0], aut._map_end(key[1]), key[2])
-    return (key[0], aut._map_index(key[1]))
+        return key_of(model, key[0], aut._map_end(key[1]), key[2])
+    return key_of(model, key[0], aut._map_index(key[1]))
 
 
-def _shift_key(h, exp, key):
+def _shift_key(model, h, exp, key):
     """Basis key carried by the shift ``h^exp``; None when it would cross
     the central region."""
-    end = key[1]
+    kind, end, genus = key_tuple(model, key)
     if end not in (h.from_end, h.to_end):
         return key
     attract = h.to_end if exp > 0 else h.from_end
-    genus = key[2] + 1 if end == attract else key[2] - 1
+    genus = genus + 1 if end == attract else genus - 1
     if genus < 1:
         return None
-    return (key[0], end, genus)
+    return key_of(model, kind, end, genus)
 
 
 def _reference_column(basis, letters, start):
@@ -298,12 +369,12 @@ def _reference_column(basis, letters, start):
         if isinstance(g, Twist):
             v = _twist_apply(v, basis.class_of(g.label), g.exp)
         elif isinstance(g, Shift):
-            v = {_shift_key(g.label, g.exp, k): c for k, c in v.items()}
+            v = {_shift_key(basis.model, g.label, g.exp, k): c for k, c in v.items()}
             if None in v:
                 return None
         else:
             aut = basis.model.automorphism_of_word([(g.name, g.exp)])
-            v = {_aut_key(aut, k): c for k, c in v.items()}
+            v = {_aut_key(basis.model, aut, k): c for k, c in v.items()}
     return v
 
 
@@ -323,7 +394,7 @@ def _assert_matches_reference(basis, w):
 def _reference_verify(w1, w2, window):
     basis = TruncatedBasis(w1.model, window)
     top, disp = _support_bound((w1, w2))
-    depth = (lambda k: k[2]) if w1.model.kind == "sn" else (lambda k: abs(k[1]))
+    depth = (lambda k: key_tuple(w1.model, k)[2]) if w1.model.kind == "sn" else (lambda k: abs(key_tuple(w1.model, k)[1]))
     keys = [k for k in basis.keys() if depth(k) <= top + disp + 1]
     valid = 0
     try:
@@ -375,11 +446,12 @@ def test_translation_out_and_back_comes_back_exact(lochness):
     # between is pulled back through the pending translation: A[3] meets the
     # image b_3 of b_1.
     basis = TruncatedBasis(lochness, 3)
+    k = partial(key_of, lochness)
     w = W(lochness, Sym("H", -2), tw(lochness, "A", 3), Sym("H", 2))
     m = word_matrix(basis, w)
     assert m.valid == frozenset(basis.keys())
-    assert m.cols[("b", 1)] == {("b", 1): 1, ("a", 1): -1}
-    assert all(m.cols[k] == {k: 1} for k in m.valid - {("b", 1)})
+    assert m.cols[k("b", 1)] == {k("b", 1): 1, k("a", 1): -1}
+    assert all(m.cols[k] == {k: 1} for k in m.valid - {k("b", 1)})
     _assert_matches_reference(basis, w)
 
 
@@ -387,13 +459,14 @@ def test_shift_edges_found_through_rotation(sn16):
     # R first, then h[1,2]: start end 1 now sits on the attracting end 2 and
     # start end 16 on the repelling end 1, so those are the masked edges
     basis = TruncatedBasis(sn16, 4)
+    k = partial(key_of, sn16)
     h, _ = sn16.shift(1, 2)
     w = word(sn16, [Shift(h, 1), Sym("R", 1)])
     m = word_matrix(basis, w)
-    assert set(basis.keys()) - m.valid == {("a", 1, 4), ("b", 1, 4), ("a", 16, 1), ("b", 16, 1)}
-    assert m.cols[("a", 1, 2)] == {("a", 2, 3): 1}
-    assert m.cols[("b", 16, 2)] == {("b", 1, 1): 1}
-    assert m.cols[("a", 3, 2)] == {("a", 4, 2): 1}
+    assert set(basis.keys()) - m.valid == {k("a", 1, 4), k("b", 1, 4), k("a", 16, 1), k("b", 16, 1)}
+    assert m.cols[k("a", 1, 2)] == {k("a", 2, 3): 1}
+    assert m.cols[k("b", 16, 2)] == {k("b", 1, 1): 1}
+    assert m.cols[k("a", 3, 2)] == {k("a", 4, 2): 1}
     _assert_matches_reference(basis, w)
 
 
