@@ -361,6 +361,19 @@ def test_wide_verify_matches_golden_json(tmp_path, script, n):
     assert _mask_clock(out.read_text(encoding="utf-8")) == golden.read_text(encoding="utf-8")
 
 
+# Every way an identity row can fail: refuted by the end projection or by
+# homology, Unknown with homology Consistent or Inconclusive, a refuted
+# involution, a word over the window, and at --budget 2 an Unknown for want
+# of budget. The script path is part of the report, so it runs from the root.
+@pytest.mark.parametrize("flags, golden", [([], "verify-refutations"), (["--budget", "2"], "verify-refutations-budget-2")])
+def test_failing_rows_match_golden_json(tmp_path, monkeypatch, flags, golden):
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    out = tmp_path / "r.json"
+    assert main(["verify", "tests/data/refutations.mcg", *flags, "--format", "json", "--out", str(out)]) == 1
+    text = _mask_clock(out.read_text(encoding="utf-8"))
+    assert text == (Path(__file__).parent / "data" / f"{golden}.json").read_text(encoding="utf-8")
+
+
 def test_report_dir_writes_csv_and_figures(tmp_path):
     rd = tmp_path / "out"
     assert main(["verify", "thmC", "--report-dir", str(rd)]) == 0
