@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="genus or index up to which the homology oracle compares columns, at least 2 (default: %(default)s)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
-    v.add_argument("--report-dir", default=None, help="write report.json, statements.csv and figures here")
+    v.add_argument("--report-dir", default=None, help="write report.json and statements.csv here")
     v.add_argument("--model-file", default=None, help="substitute this model file for the builtin model")
     v.add_argument("--quiet", action="store_true", help="print only per-script results")
     v.set_defaults(func=cmd_verify)

@@ -1,6 +1,10 @@
 """Script replay: execute statements in order, verdict each assertion,
-cross-check with the homology oracle, track the proved element set and
-match each goal against it through ``rewrite.GoalIndex``."""
+track the proved element set and match each goal against it through
+``rewrite.GoalIndex``.
+
+``judge`` is the one place that composes an identity's verdict: the rewrite
+engine proves, and the end projection and homology oracles, which share no
+code with it, refute or confirm."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhausted, McgError
-from .homology import DEFAULT_WINDOW, check_displacement, check_window
+from .homology import DEFAULT_WINDOW, check_displacement, check_window, verify_identity_homology
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
@@ -16,7 +20,8 @@ from .rewrite import (
     DEFAULT_BUDGET,
     Budget,
     GoalIndex,
-    Verdict,
+    ProvedEqual,
+    Unknown,
     canonical,
     check_involution,
     equivalent,
@@ -34,6 +39,16 @@ from .script import (
     eval_word,
 )
 from .words import Word
+
+
+@dataclass(frozen=True)
+class ProvedDistinct:
+    kind = "ProvedDistinct"
+    oracle: str  # the oracle that refuted: "projection" or "homology"
+    witness: str
+
+
+Verdict = ProvedEqual | ProvedDistinct | Unknown
 
 
 @dataclass
@@ -121,8 +136,7 @@ def replay(
                 left = eval_word(stmt.left, ctx)
                 right = eval_word(stmt.right, ctx)
                 check_displacement(left, window), check_displacement(right, window)
-                v = equivalent(left, right, budget, window)
-                _judge(res, v)
+                judge(res, left, right, budget, window)
                 if res.ok:
                     # goal matching reads the commutation-canonical form,
                     # or the side as written once the budget runs out
@@ -134,8 +148,7 @@ def replay(
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
                 check_displacement(w, window)
-                v = check_involution(w, budget, window)
-                _judge(res, v)
+                judge(res, *check_involution(w), budget, window)
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
             elif isinstance(stmt, SAssertProjection):
@@ -171,18 +184,25 @@ def replay(
     return report
 
 
-def _witness(v: Verdict) -> str:
-    """What a verdict shows: the separating witness of a refutation, or the
-    rewrite trace of a proof (empty for Unknown)."""
-    return getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ()))
+def judge(res: StatementResult, w1: Word, w2: Word, budget: int, window: int) -> Verdict:
+    """Verdict the identity w1 = w2 of an ``ASSERT_EQ`` or
+    ``ASSERT_INVOLUTION`` row, write it into ``res`` and return it.
 
-
-def _judge(res: StatementResult, v: Verdict) -> None:
-    """Verdict an identity (``ASSERT_EQ`` or ``ASSERT_INVOLUTION``): proved
-    by the engine and not refuted by the homology result the verdict
-    carries. A proof that homology refutes is an oracle conflict, named in
-    the witness."""
-    hom = v.homology
+    The deciders run in a fixed order: the engine, which only proves; then,
+    on a pair it leaves Unknown, the end projection and homology, which only
+    refute. Homology runs once per pair, whatever the engine found, and the
+    row shows its result; a proof that homology refutes is an oracle
+    conflict, named in the witness, and fails the row.
+    """
+    v: Verdict = equivalent(w1, w2, budget)
+    hom = verify_identity_homology(w1, w2, window)
+    if v.kind == "Unknown":
+        p1, p2 = project(w1), project(w2)
+        if p1 != p2:
+            e = next(e for e in range(1, w1.model.n + 1) if p1(e) != p2(e))
+            v = ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}")
+        elif hom.status == "Refuted":
+            v = ProvedDistinct("homology", hom.witness)
     res.verdict = v.kind
     res.oracle = str(hom)
     res.budget_used = getattr(v, "budget_used", 0)
@@ -190,7 +210,8 @@ def _judge(res: StatementResult, v: Verdict) -> None:
     if v.kind == "ProvedEqual" and hom.status == "Refuted":
         res.witness = f"ORACLE CONFLICT: {hom.witness}"
     else:
-        res.witness = _witness(v)
+        res.witness = getattr(v, "witness", "") or "; ".join(getattr(v, "trace", ()))
+    return v
 
 
 def _perm_of(spec: PermSpec, n: int) -> Permutation:

@@ -36,26 +36,24 @@ exponent sums of the twists and of the shifts, so the index files proved
 words under (symmetry part, twist sum, shift sum) and tries a goal only
 against its own bucket; skipping the others loses no proof.
 
-Failure to normalize is not a proof of distinctness. ``equivalent`` runs
-the homology oracle once per pair, whatever the engine found, and every
-verdict carries its result; when normalization fails, a disagreement of
-the homology or end-permutation oracle is a certificate, and otherwise the
-verdict is Unknown. An involution ``r x`` (r the leading symmetry letters)
-is the identity ``r x r = x~`` on the same path.
+The engine only proves: ``equivalent`` answers ProvedEqual or Unknown, and
+failure to normalize is not a proof of distinctness. It runs no oracle and
+imports none; ``replay.judge`` combines it with the homology and
+end-permutation oracles, which may refute what it leaves Unknown. An
+involution ``r x`` (r the leading symmetry letters) is checked as the
+identity ``r x r = x~``, the pair ``check_involution`` builds.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, UndefinedSymmetry
-from .homology import DEFAULT_WINDOW, HomologyResult, verify_identity_homology
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
-from .permgroup import project
 from .words import Letter, Shift, Sym, Twist, Word, invert, invert_letter
 
 DEFAULT_BUDGET = 100_000
@@ -83,15 +81,6 @@ class ProvedEqual:
     kind = "ProvedEqual"
     trace: tuple[str, ...]
     budget_used: int
-    homology: HomologyResult | None = None  # the oracle's result, when it ran
-
-
-@dataclass(frozen=True)
-class ProvedDistinct:
-    kind = "ProvedDistinct"
-    oracle: str
-    witness: str
-    homology: HomologyResult | None = None  # the oracle's result, when it ran
 
 
 @dataclass(frozen=True)
@@ -99,10 +88,6 @@ class Unknown:
     kind = "Unknown"
     reason: str
     budget_used: int
-    homology: HomologyResult | None = None  # the oracle's result, when it ran
-
-
-Verdict = ProvedEqual | ProvedDistinct | Unknown
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +437,7 @@ def _split(w: Word) -> _Split | None:
 
 
 def _decide_pair(ctx: _Ctx, s1: _Split | None, s2: _Split | None, budget: int) -> ProvedEqual | Unknown:
-    """The engine's verdict on w1 = w2 from their splits, without oracles:
+    """The engine's verdict on w1 = w2 from their splits:
     w1 w2~ fails to push exactly when either word does, and otherwise its
     core core(w1) core(w2)~ is decided under a fresh budget when the two
     symmetry parts agree. The move trace that empties it is the proof."""
@@ -544,37 +529,25 @@ def equivalent(
     w1: Word,
     w2: Word,
     budget: int = DEFAULT_BUDGET,
-    window: int = DEFAULT_WINDOW,
-    oracles: bool = True,
-) -> Verdict:
-    """Decide w1 = w2: ProvedEqual via normalization of w1 w2^-1 to the empty
-    word, ProvedDistinct via an oracle disagreement, else Unknown. With
-    ``oracles`` the homology oracle runs once, whatever the engine found,
-    and every verdict carries its result."""
+    # unread; kept for perfbench's cross-oracle call until ROADMAP item 6 drops them
+    window: int | None = None,
+    oracles: bool = False,
+) -> ProvedEqual | Unknown:
+    """The engine's verdict on w1 = w2: ProvedEqual via normalization of
+    w1 w2^-1 to the empty word, else Unknown. It runs no oracle."""
+    if oracles:
+        raise TypeError("equivalent runs no oracle; replay.judge runs them")
     if w1.model is not w2.model:
         raise ModelMismatch("words over different models")
-    model = w1.model
-    v = _decide_pair(_ctx(model), _split(w1), _split(w2), budget)
-    if not oracles:
-        return v
-    hom = verify_identity_homology(w1, w2, window)
-    if v.kind == "ProvedEqual":
-        return replace(v, homology=hom)
-    p1, p2 = project(w1), project(w2)
-    if p1 != p2:
-        e = next(e for e in range(1, model.n + 1) if p1(e) != p2(e))
-        return ProvedDistinct("projection", f"end {e} maps to {p1(e)} vs {p2(e)}", hom)
-    if hom.status == "Refuted":
-        return ProvedDistinct("homology", hom.witness, hom)
-    return replace(v, homology=hom)
+    return _decide_pair(_ctx(w1.model), _split(w1), _split(w2), budget)
 
 
-def check_involution(w: Word, budget: int = DEFAULT_BUDGET, window: int = DEFAULT_WINDOW) -> Verdict:
-    """Decide that ``w`` squares to 1 as ``r x r = x~``, where r is the
-    leading run of symmetry letters of ``w`` and x the rest; either may be
-    empty. In any group r x r = x^-1 exactly when (r x)^2 = 1, so r need not
-    be an involution itself. The difference word is ``w w``.
+def check_involution(w: Word) -> tuple[Word, Word]:
+    """The identity ``r x r = x~`` that says ``w`` squares to 1, where r is
+    the leading run of symmetry letters of ``w`` and x the rest; either may
+    be empty. In any group r x r = x^-1 exactly when (r x)^2 = 1, so r need
+    not be an involution itself. The difference word is ``w w``.
     """
     k = next((i for i, g in enumerate(w.letters) if not isinstance(g, Sym)), len(w.letters))
     r, x = Word(w.model, w.letters[:k]), Word(w.model, w.letters[k:])
-    return equivalent(r * x * r, invert(x), budget, window)
+    return r * x * r, invert(x)

@@ -266,7 +266,7 @@ def cross_oracle_random_pairs(
             w2 = g * w1 * invert(g)
         else:
             w2 = random_word(model, rng, rng.randint(1, 7))
-        v = equivalent(w1, w2, budget, window, oracles=False)
+        v = equivalent(w1, w2, budget)
         if v.kind != "ProvedEqual":
             continue
         proved += 1

@@ -1,7 +1,10 @@
 import ast
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -515,7 +518,21 @@ def _imported_modules(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("module", ["homology", "permgroup"])
 def test_oracles_import_nothing_from_the_engine(module):
-    # the engine calls the oracles; an oracle that reached back into the
-    # engine could no longer check it independently
+    # replay's judge calls the engine and the oracles; an oracle that reached
+    # back into the engine could no longer check it independently
     path = Path(mcg.__file__).parent / f"{module}.py"
     assert not _imported_modules(path) & ENGINE_MODULES
+
+
+def test_engine_imports_no_oracle():
+    # the engine only proves; an engine that ran an oracle would compose
+    # verdicts outside the judge
+    assert not _imported_modules(Path(mcg.__file__).parent / "rewrite.py") & {"homology", "permgroup"}
+
+
+def test_importing_the_engine_loads_no_homology():
+    # permgroup cannot be pinned this way: mcg/__init__ loads modelfile,
+    # which loads it
+    src = str(Path(mcg.__file__).parent.parent)
+    code = "import sys, mcg.rewrite; sys.exit('mcg.homology' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0

@@ -60,16 +60,16 @@ def test_perturbed_formula_fails_with_homology_witness():
 
 
 def test_oracle_runs_once_per_statement(monkeypatch):
-    # the engine's decision runs the oracle and its verdict carries the
-    # result; replay runs it nowhere else
+    # the judge runs the oracle once per identity row, whatever the engine
+    # found; replay runs it nowhere else
     calls = []
-    real = mcg.rewrite.verify_identity_homology
+    real = mcg.replay.verify_identity_homology
 
     def counting(w1, w2, window):
         calls.append((w1, w2))
         return real(w1, w2, window)
 
-    monkeypatch.setattr(mcg.rewrite, "verify_identity_homology", counting)
+    monkeypatch.setattr(mcg.replay, "verify_identity_homology", counting)
     text = resources.files("mcg.data.scripts").joinpath("thmA.mcg").read_text()
     bad = text.replace("ASSERT_EQ F2 = A[3] C[3] B[6]", "ASSERT_EQ F2 = A[3] C[3] B[7]")
     rep = replay(parse(bad, "thmA-perturbed"), n=17)
@@ -88,7 +88,7 @@ def test_refuted_involution_is_an_oracle_conflict(monkeypatch):
     proved = involution(replay(load("thmC")))
     assert (proved.verdict, proved.ok, proved.witness) == ("ProvedEqual", True, "canonical")
     forged = HomologyResult("Refuted", "forged witness", 1, 1)
-    monkeypatch.setattr(mcg.rewrite, "verify_identity_homology", lambda *args: forged)
+    monkeypatch.setattr(mcg.replay, "verify_identity_homology", lambda *args: forged)
     conflict = involution(replay(load("thmC")))
     assert (conflict.verdict, conflict.ok) == ("ProvedEqual", False)
     assert conflict.witness == "ORACLE CONFLICT: forged witness"
@@ -201,7 +201,7 @@ def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
     # exponent sums file each word too; it calls no ``equivalent``, and its
     # witnesses must not change
     decisions, calls = [], []
-    real_pair, real_first, real_equivalent = mcg.rewrite._decide_pair, GoalIndex.first_equal, mcg.replay.equivalent
+    real_pair, real_first, real_equivalent = mcg.rewrite._decide_pair, GoalIndex.first_equal, mcg.rewrite.equivalent
     matching = [False]
 
     def first_equal(self, w, budget):
@@ -218,11 +218,12 @@ def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
         return v
 
     def equivalent(*args, **kwargs):
-        calls.append(kwargs.get("oracles", True))
+        calls.append(matching[0])
         return real_equivalent(*args, **kwargs)
 
     monkeypatch.setattr(GoalIndex, "first_equal", first_equal)
     monkeypatch.setattr(mcg.rewrite, "_decide_pair", decide_pair)
+    monkeypatch.setattr(mcg.rewrite, "equivalent", equivalent)
     monkeypatch.setattr(mcg.replay, "equivalent", equivalent)
     witnesses = []
     for name in ("thmA", "thmB", "thmC", "thmD"):
@@ -232,7 +233,8 @@ def test_goalset_matching_tries_only_provable_candidates(monkeypatch):
             witnesses += [s.witness for s in rep.statements if s.kind == "Goalset"]
     assert len(decisions) <= 146
     assert decisions.count("ProvedEqual") == 31
-    assert False not in calls
+    # none from goal matching; the 167 of the identity rows show the patch is live
+    assert (calls.count(True), calls.count(False)) == (0, 167)
     golden = json.loads(GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8"))
     assert witnesses == [s["witness"] for r in golden["scripts"] for s in r["statements"] if s["kind"] == "Goalset"]
 

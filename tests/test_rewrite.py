@@ -2,11 +2,13 @@ import gc
 import random
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcg import load_model
-from mcg.homology import TruncatedBasis, word_matrix
+from mcg.homology import DEFAULT_WINDOW, TruncatedBasis, word_matrix
+from mcg.replay import StatementResult, judge
 from mcg.rewrite import (
     DEFAULT_BUDGET,
     Budget,
@@ -54,6 +56,11 @@ def thmA_f1(model):
 
 def rho3(model):
     return W(model, Sym("R", 4), Sym("rho1", 1), Sym("R", -4))
+
+
+def judged(w1, w2):
+    """The verdict replay's judge gives an identity row w1 = w2."""
+    return judge(StatementResult(0, 0, "", "", "", False), w1, w2, DEFAULT_BUDGET, DEFAULT_WINDOW)
 
 
 # -- normalize ---------------------------------------------------------------
@@ -127,7 +134,10 @@ def test_equivalent_braid_pair(sn17):
 
 
 def test_equivalent_distinct_twists(sn17):
-    v = equivalent(W(sn17, tw(sn17, "A", 1, 1)), W(sn17, tw(sn17, "B", 1, 1)))
+    # the engine only proves; homology refutes through the judge
+    w1, w2 = W(sn17, tw(sn17, "A", 1, 1)), W(sn17, tw(sn17, "B", 1, 1))
+    assert equivalent(w1, w2).kind == "Unknown"
+    v = judged(w1, w2)
     assert v.kind == "ProvedDistinct"
     assert v.oracle == "homology"
 
@@ -135,8 +145,10 @@ def test_equivalent_distinct_twists(sn17):
 def test_conjugated_twist_not_equal_to_plain_twist(sn17):
     # A B A~ is the twist about the image curve, not about b itself
     a, b = tw(sn17, "A", 1, 1), tw(sn17, "B", 1, 1)
-    v = equivalent(W(sn17, a, b, Twist(a.label, -1)), W(sn17, b))
-    assert v.kind == "ProvedDistinct"
+    w1, w2 = W(sn17, a, b, Twist(a.label, -1)), W(sn17, b)
+    assert equivalent(w1, w2).kind == "Unknown"
+    v = judged(w1, w2)
+    assert (v.kind, v.oracle) == ("ProvedDistinct", "homology")
 
 
 def test_braid_move_blocked_by_interleaved_letter(sn17):
@@ -150,9 +162,20 @@ def test_braid_move_blocked_by_interleaved_letter(sn17):
 
 
 def test_equivalent_distinct_by_projection(sn17):
-    v = equivalent(W(sn17, Sym("R", 1)), Word(sn17, ()))
+    w1, w2 = W(sn17, Sym("R", 1)), Word(sn17, ())
+    assert equivalent(w1, w2).kind == "Unknown"
+    v = judged(w1, w2)
     assert v.kind == "ProvedDistinct"
     assert v.oracle == "projection"
+
+
+def test_equivalent_runs_no_oracle(sn17):
+    # the window is unread, and asking for oracles is an error, so no caller
+    # loses them silently
+    w = thmA_f1(sn17)
+    assert equivalent(w, w, 4000, 20) == equivalent(w, w, 4000)
+    with pytest.raises(TypeError):
+        equivalent(w, w, oracles=True)
 
 
 def test_equivalent_unknown_on_starved_budget(sn17):
@@ -198,10 +221,9 @@ def test_push_symmetries_preserves_matrix(sn17):
 
 def _first_equal_reference(proved, goal, budget):
     """The loop ``GoalIndex`` replaces: every proved word, newest first,
-    through ``equivalent`` without oracles. The reference the index is
-    checked against."""
+    through ``equivalent``. The reference the index is checked against."""
     for name, w in reversed(proved):
-        if equivalent(w, goal, budget, oracles=False).kind == "ProvedEqual":
+        if equivalent(w, goal, budget).kind == "ProvedEqual":
             return name
     return None
 
@@ -260,7 +282,7 @@ def test_proved_pairs_of_criterion_3_share_an_index_key(sn16, sn17, jacob, lochn
                 w2 = g * w1 * invert(g)
             else:
                 w2 = random_word(model, rng, rng.randint(1, 7))
-            if equivalent(w1, w2, 4000, 20, oracles=False).kind == "ProvedEqual":
+            if equivalent(w1, w2, 4000).kind == "ProvedEqual":
                 proved += 1
                 assert _index_key(ctx, _split(w1)) == _index_key(ctx, _split(w2)), (w1, w2)
     assert proved == 636
@@ -330,7 +352,7 @@ def test_results_do_not_depend_on_letter_numbering(data):
     def results(model):
         a, b = Word(model, w1.letters), Word(model, w2.letters)
         r = normalize(a, budget)
-        return r.normalized, r.word.letters, r.trace, r.budget_used, equivalent(a, b, budget, oracles=False)
+        return r.normalized, r.word.letters, r.trace, r.budget_used, equivalent(a, b, budget)
 
     want = results(fresh)
     for _ in range(rng.randint(1, 4)):
@@ -385,7 +407,8 @@ def test_canonical_is_a_normal_form_of_the_reduced_trace(sn16, sn17, jacob, loch
 
 
 def test_check_involution_thmA(sn17):
-    assert check_involution(rho3(sn17) * thmA_f1(sn17)).kind == "ProvedEqual"
+    pair = check_involution(rho3(sn17) * thmA_f1(sn17))
+    assert equivalent(*pair).kind == judged(*pair).kind == "ProvedEqual"
 
 
 def test_check_involution_thmC(jacob):
@@ -397,12 +420,15 @@ def test_check_involution_thmC(jacob):
         tw(jacob, "B", 11, exp=-1), tw(jacob, "C", 12, exp=-1),
         tw(jacob, "Ap", 8, exp=-1), tw(jacob, "A", 13, exp=-1),
     )
-    assert check_involution(tau3 * f).kind == "ProvedEqual"
+    pair = check_involution(tau3 * f)
+    assert equivalent(*pair).kind == judged(*pair).kind == "ProvedEqual"
 
 
 def test_check_involution_refuses_non_involution(sn17):
     # the rotation R is no involution, and (R F1)^2 moves the ends
-    v = check_involution(W(sn17, Sym("R", 1)) * thmA_f1(sn17))
+    pair = check_involution(W(sn17, Sym("R", 1)) * thmA_f1(sn17))
+    assert equivalent(*pair).kind == "Unknown"
+    v = judged(*pair)
     assert (v.kind, v.oracle) == ("ProvedDistinct", "projection")
 
 
@@ -410,8 +436,10 @@ def test_check_involution_off_axis_twist_distinct(sn17):
     # conjugating a twist at end 3 by rho1 does not invert it
     rho1 = W(sn17, Sym("rho1", 1))
     x = W(sn17, tw(sn17, "A", 1, 3))
-    v = check_involution(rho1 * x)
-    assert v.kind == "ProvedDistinct"
+    pair = check_involution(rho1 * x)
+    assert equivalent(*pair).kind == "Unknown"
+    v = judged(*pair)
+    assert (v.kind, v.oracle) == ("ProvedDistinct", "homology")
 
 
 # -- properties ------------------------------------------------------------------
@@ -478,6 +506,6 @@ def test_proved_equal_stable_under_rotation(sn17, seed):
     w1 = random_word(sn17, rng, 4)
     g = random_word(sn17, rng, 2)
     w2 = g * w1 * invert(g)
-    if equivalent(w1, w2, 4000, oracles=False).kind == "ProvedEqual":
-        rotated = equivalent(invert(w2) * w1, Word(sn17, ()), 4000, oracles=False)
+    if equivalent(w1, w2, 4000).kind == "ProvedEqual":
+        rotated = equivalent(invert(w2) * w1, Word(sn17, ()), 4000)
         assert rotated.kind == "ProvedEqual"
