@@ -4,6 +4,8 @@ Exit codes: 0 all checks passed, 1 an assertion or property failed (Unknown
 verdicts and ``error`` rows, such as a word over the window, included), 2
 configuration, parse or model errors. The rewrite budget (``--budget``, else
 MCG_BUDGET, else a script's BUDGET line, else 100000) bounds every search.
+Each check's coverage (homology window, validation window, sampled rows) is a
+constant of the module that owns the check; no flag sets it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import McgError
-from .homology import DEFAULT_WINDOW, TruncatedBasis, check_window, transvection_selftest, word_matrix
+from .errors import McgError, decode_utf8
+from .homology import TruncatedBasis, transvection_selftest, word_matrix
 from .modelfile import load_model, parse_model_file
 from .permgroup import Permutation, certify_full_symmetric, group_order, project
 from .replay import replay
@@ -26,6 +28,8 @@ from .shiftmap import check_shift_properties
 from .sweeps import homology_property_sweep, pairing_preservation_sweep
 
 BUILTIN_SCRIPTS = ("thmA", "thmB", "thmC", "thmD")
+SELFCHECK_WINDOW = 20  # selfcheck validates each model up to this genus or index
+SELFCHECK_SWEEP_WINDOW = 12  # and runs its property sweeps up to this one
 
 
 def _budget(flag: int | None) -> int | None:
@@ -53,7 +57,7 @@ def _load_script_text(name: str) -> tuple[str, str]:
             name + ".mcg",
         )
     path = Path(name)
-    return path.read_text(encoding="utf-8"), str(path)
+    return decode_utf8(path.read_bytes(), str(path)), str(path)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -75,7 +79,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 model = parse_model_file(args.model_file, n=n if n is not None else script.default_n())
                 if model.kind != script.kind:
                     raise McgError(f"model file kind {model.kind!r} does not match the script ({script.kind})")
-            reports.append(replay(script, n=n, budget=budget, window=args.window, model=model))
+            reports.append(replay(script, n=n, budget=budget, model=model))
     except (McgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -100,8 +104,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    # a bad window or model file fails before anything is printed
-    check_window(args.window)
+    # a bad model file fails before anything is printed
     if args.model_file:
         models = [parse_model_file(args.model_file, n=args.n)]
     else:
@@ -120,11 +123,11 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
         run("transvection sign convention self-test", False, str(e))
 
     for model in models:
-        rep = model.validate(args.window)
-        run(f"validate {model.describe()} at window {args.window}", rep.ok, str(rep) if not rep.ok else "")
-        sweep = homology_property_sweep(model, min(args.window, 12))
+        rep = model.validate(SELFCHECK_WINDOW)
+        run(f"validate {model.describe()} at window {SELFCHECK_WINDOW}", rep.ok, str(rep) if not rep.ok else "")
+        sweep = homology_property_sweep(model, SELFCHECK_SWEEP_WINDOW)
         run(f"homology/intersection sweep {model.describe()}", sweep.ok, str(sweep) if not sweep.ok else "")
-        psweep = pairing_preservation_sweep(model, min(args.window, 12))
+        psweep = pairing_preservation_sweep(model, SELFCHECK_SWEEP_WINDOW)
         run(f"pairing preservation {model.describe()}", psweep.ok, str(psweep) if not psweep.ok else "")
 
     order = group_order(
@@ -146,7 +149,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_shiftmap(args: argparse.Namespace) -> int:
-    report = check_shift_properties(args.samples)
+    report = check_shift_properties()
     print(report)
     return 0 if report.ok else 1
 
@@ -191,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=None,
         help="rewrite applications per search, LET reductions included (default: MCG_BUDGET, then the script's BUDGET line, then 100000)",
     )
-    v.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="genus or index up to which the homology oracle compares columns, at least 2 (default: %(default)s)")
     v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
     v.add_argument("--report-dir", default=None, help="write report.json and statements.csv here")
@@ -200,13 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("selfcheck", help="model validation, oracle self-tests, BSGS sanity")
-    s.add_argument("--window", type=int, default=20, help="model validation window, at least 2 (default: %(default)s)")
     s.add_argument("--model-file", default=None, help="validate this model file instead of the builtins")
     s.add_argument("--n", type=int, default=17, help="n for --model-file when it is an sn model")
     s.set_defaults(func=cmd_selfcheck)
 
     m = sub.add_parser("shiftmap", help="check the strip model of the handle shift exactly")
-    m.add_argument("--samples", type=int, default=24, help="rational rows sampled per check")
     m.set_defaults(func=cmd_shiftmap)
 
     p = sub.add_parser("project", help="print the image of a word in Sym_n")

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the decoding of input files into text."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ class ModelMismatch(McgError):
 
 
 class OutOfWindow(McgError):
-    """A homology window below the floor of 2, or below the displacement bound of a word."""
+    """A homology window below the floor of 2, or a word whose displacement
+    bound exceeds the window replay compares (``homology.DEFAULT_WINDOW``)."""
 
 
 class BudgetExhausted(McgError):
@@ -62,3 +63,14 @@ class ModelFileError(McgError):
         self.message = message
         self.path = path
         self.line = line
+
+
+def decode_utf8(data: bytes, path: str) -> str:
+    """The UTF-8 text of an input file's bytes; a byte that does not decode
+    is an error naming ``path`` and the line it sits on."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # lines numbered as the parsers number them, by str.splitlines
+        line = len((data[: e.start].decode("utf-8") + "?").splitlines())
+        raise McgError(f"{path}:{line}: not UTF-8 text: byte 0x{data[e.start]:02x} cannot be decoded") from None

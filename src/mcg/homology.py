@@ -25,11 +25,11 @@ across the central region, where the label system gives it no image, so a
 column holding that handle is masked. ``Consistent`` is a necessary
 condition, not a proof.
 
-This module owns the window, which bounds only which columns are compared:
-its default ``DEFAULT_WINDOW``, its floor ``check_window`` (every
-``TruncatedBasis`` runs it) and the displacement rule ``check_displacement``
-(replay runs it on each word it sends to the oracle, so no word reaches past
-the columns compared).
+This module owns the window, which bounds only which columns are compared.
+Replay compares the columns up to the constant ``DEFAULT_WINDOW`` and runs
+the displacement rule ``check_displacement`` on each word it evaluates, so
+no word reaches past the columns compared. A ``TruncatedBasis`` needs a
+window of at least 2, the two positions a linking class spans.
 
 One kernel, ``_push``, applies a word right to left to all start columns
 at once, at a cost that follows the columns twists touch rather than the
@@ -71,12 +71,6 @@ from .words import Letter, Shift, Twist, Word
 Key = int  # (position << 1) | kind, see the module docstring
 Vec = dict[Key, int]
 DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) of the columns a replay compares
-
-
-def check_window(window: int) -> None:
-    """The floor of every window: a linking class, C[1] = a_1 - a_2, spans two positions."""
-    if window < 2:
-        raise OutOfWindow("window must be at least 2")
 
 
 def key_of(model: SurfaceModel, kind: str, *position: int) -> Key:
@@ -142,7 +136,8 @@ class TruncatedBasis:
     span: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_window(self.window)
+        if self.window < 2:  # the floor: a linking class, C[1] = a_1 - a_2, spans two positions
+            raise OutOfWindow("window must be at least 2")
         w, n = self.window, self.model.n
         span = range(2 * n, 2 * n * (w + 1)) if self.model.kind == "sn" else range(-2 * w, 2 * w + 2)
         object.__setattr__(self, "span", span)
@@ -413,14 +408,14 @@ def _support_bound(words: Iterable[Word]) -> tuple[int, int]:
     return top, disp
 
 
-def check_displacement(w: Word, window: int) -> None:
+def check_displacement(w: Word) -> None:
     """Raise ``OutOfWindow`` when the displacement bound of ``w``, its
-    touched positions plus how far a column can wander, exceeds ``window``."""
+    touched positions plus how far a column can wander, exceeds ``DEFAULT_WINDOW``."""
     top, disp = _support_bound((w,))
-    if top + disp > window:
+    if top + disp > DEFAULT_WINDOW:
         text = str(w) if len(str(w)) <= 60 else str(w)[:57] + "..."
         raise OutOfWindow(
-            f"window {window} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
+            f"window {DEFAULT_WINDOW} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
             f" it needs a window of at least {top + disp}"
         )
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .errors import McgError, ModelFileError
+from .errors import McgError, ModelFileError, decode_utf8
 from .labels import family_parse
 from .models import Adjacency, Automorphism, SurfaceModel, Symmetry
 from .permgroup import Permutation
@@ -229,11 +229,11 @@ def parse_model_text(text: str, n: int | None = None, path: str = "<model>") -> 
 
 def parse_model_file(path: str, n: int | None = None) -> SurfaceModel:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ModelFileError(f"cannot read the model file: {e.strerror or e}", path, 0) from None
-    return parse_model_text(text, n=n, path=path)
+    return parse_model_text(decode_utf8(data, path), n=n, path=path)
 
 
 def builtin_model_text(kind: str) -> str:

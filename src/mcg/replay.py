@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhausted, McgError
-from .homology import DEFAULT_WINDOW, check_displacement, check_window, verify_identity_homology
+from .homology import DEFAULT_WINDOW, check_displacement, verify_identity_homology
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
@@ -97,13 +97,11 @@ def replay(
     script: ProofScript,
     n: int | None = None,
     budget: int | None = None,
-    window: int = DEFAULT_WINDOW,
     model: SurfaceModel | None = None,
 ) -> ReplayReport:
     """Run a parsed script, every engine call under ``budget``; failures do
     not stop execution: a statement that raises an ``McgError`` (a word over
     the window too) is an ``error`` row, and a failed ``LET`` binds nothing."""
-    check_window(window)
     n = n if n is not None else script.default_n()  # None on a chain model: the model fixes n
     if script.param is not None and n is not None:
         msg = script.param.check(n)
@@ -116,7 +114,7 @@ def replay(
         raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
     ctx = EvalContext(model, model.n)
     proved: list[tuple[str, Word]] = []
-    report = ReplayReport(script.path, model.describe(), model.n, budget, window, env=ctx.env)
+    report = ReplayReport(script.path, model.describe(), model.n, budget, DEFAULT_WINDOW, env=ctx.env)
 
     t_start = time.perf_counter()
     for idx, stmt in enumerate(script.statements):
@@ -125,7 +123,7 @@ def replay(
         try:
             if isinstance(stmt, SLet):
                 w = eval_word(stmt.expr, ctx)
-                check_displacement(w, window)
+                check_displacement(w)
                 red = normalize(w, budget)
                 if not red.normalized:
                     res.witness = f"reduction budget exhausted; kept unreduced ({len(w)} letters)"
@@ -135,8 +133,8 @@ def replay(
             elif isinstance(stmt, SAssertEq):
                 left = eval_word(stmt.left, ctx)
                 right = eval_word(stmt.right, ctx)
-                check_displacement(left, window), check_displacement(right, window)
-                judge(res, left, right, budget, window)
+                check_displacement(left), check_displacement(right)
+                judge(res, left, right, budget)
                 if res.ok:
                     # goal matching reads the commutation-canonical form,
                     # or the side as written once the budget runs out
@@ -147,8 +145,8 @@ def replay(
                     proved.append((f"eq@{stmt.line}", right))
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
-                check_displacement(w, window)
-                judge(res, *check_involution(w), budget, window)
+                check_displacement(w)
+                judge(res, *check_involution(w), budget)
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
             elif isinstance(stmt, SAssertProjection):
@@ -184,7 +182,7 @@ def replay(
     return report
 
 
-def judge(res: StatementResult, w1: Word, w2: Word, budget: int, window: int) -> Verdict:
+def judge(res: StatementResult, w1: Word, w2: Word, budget: int) -> Verdict:
     """Verdict the identity w1 = w2 of an ``ASSERT_EQ`` or
     ``ASSERT_INVOLUTION`` row, write it into ``res`` and return it.
 
@@ -195,7 +193,7 @@ def judge(res: StatementResult, w1: Word, w2: Word, budget: int, window: int) ->
     conflict, named in the witness, and fails the row.
     """
     v: Verdict = equivalent(w1, w2, budget)
-    hom = verify_identity_homology(w1, w2, window)
+    hom = verify_identity_homology(w1, w2, DEFAULT_WINDOW)
     if v.kind == "Unknown":
         p1, p2 = project(w1), project(w2)
         if p1 != p2:

@@ -446,9 +446,11 @@ class _Parser:
         )
 
     def _statement(self, text: str, line: int) -> None:
-        head, _, rest = text.strip().partition(" ")
+        # any whitespace ends the keyword; ``text`` has no trailing whitespace
+        head, rest = (text.split(None, 1) + [""])[:2]
         key = head.upper()
-        rest = rest.strip()
+        rest_col = len(text) - len(rest)  # 0-based, for the tokenizer
+        col = rest_col + 1  # 1-based, for errors about the whole of ``rest``
         if key == "TITLE":
             self.title = rest
             return
@@ -456,7 +458,7 @@ class _Parser:
             if self.kind is not None:
                 raise ParseError("duplicate MODEL line", line, 1)
             if rest not in _PRIMITIVES:
-                raise ParseError(f"unknown model kind {rest!r}", line, len(head) + 2)
+                raise ParseError(f"unknown model kind {rest!r}", line, col)
             self.kind = rest
             self.defined.update(_PRIMITIVES[rest])
             return
@@ -469,8 +471,7 @@ class _Parser:
                 re.IGNORECASE,
             )
             if not m:
-                raise ParseError(f"bad PARAM line {rest!r}", line, len(head) + 2)
-            col = len(head) + 2
+                raise ParseError(f"bad PARAM line {rest!r}", line, col)
             self.param = ParamSpec(
                 tuple(_decimal(t, line, col) for t in m.group(1).split()),
                 m.group(2).lower() if m.group(2) else None,
@@ -482,28 +483,26 @@ class _Parser:
                 raise ParseError(
                     f"conventions checksum {rest!r} does not match this engine ({CONVENTIONS_ID})",
                     line,
-                    len(head) + 2,
+                    col,
                 )
             self.conventions = rest
             return
         if key == "COMPOSE":
             if rest != "rtl":
-                raise ParseError("only COMPOSE rtl (rightmost factor first) is supported", line, len(head) + 2)
+                raise ParseError("only COMPOSE rtl (rightmost factor first) is supported", line, col)
             return
         if key == "BUDGET":
-            if not rest.isdigit():
-                raise ParseError(f"bad BUDGET {rest!r}", line, len(head) + 2)
-            self.budget = _decimal(rest, line, len(head) + 2)
+            if not rest.isdecimal():
+                raise ParseError(f"bad BUDGET {rest!r}", line, col)
+            self.budget = _decimal(rest, line, col)
             return
-        rest_col = text.upper().index(key) + len(key)
-        rest_col += len(text[rest_col:]) - len(text[rest_col:].lstrip())
         if key == "LET":
             m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*", rest)
             if not m:
-                raise ParseError("LET wants: LET name = word", line, len(head) + 2)
+                raise ParseError("LET wants: LET name = word", line, col)
             name, body = m.group(1), rest[m.end() :]
             if name in self.defined:
-                raise Redefinition(f"name {name!r} is already defined", line, text.index(name) + 1)
+                raise Redefinition(f"name {name!r} is already defined", line, col)
             expr = self._word_expr(body, line, rest_col + m.end())
             self.defined.add(name)
             self.statements.append(SLet(line, name, expr))

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import McgError
 
 Rational = Fraction | int
 _HALF = Fraction(1, 2)
+SAMPLES = 24  # the rows checked are y = k / SAMPLES for |k| <= SAMPLES
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,9 @@ class ShiftCheckReport:
         return "\n".join(lines)
 
 
-def _sample_rows(samples: int) -> Iterable[Fraction]:
-    for k in range(-samples, samples + 1):
-        yield Fraction(k, samples)
-
-
-def check_shift_properties(samples: int = 24) -> ShiftCheckReport:
+def check_shift_properties() -> ShiftCheckReport:
     """Seam agreement of the evaluated branches, fixed boundary rows, unit
     displacement on the core band, strict monotonicity in x on every row."""
-    if samples < 1:
-        raise McgError("samples must be >= 1")
     findings: list[str] = []
     run = 0
     xs = [Fraction(k, 3) for k in range(-9, 10)]
@@ -96,7 +89,7 @@ def check_shift_properties(samples: int = 24) -> ShiftCheckReport:
             if core.x != damp:
                 findings.append(f"seam y={seam} at x={x}: {core.x} != {damp}")
 
-    for y in _sample_rows(samples):
+    for y in (Fraction(k, SAMPLES) for k in range(-SAMPLES, SAMPLES + 1)):
         if abs(y) <= _HALF:
             run += 1
             img = handle_shift_point(StripPoint(Fraction(0), y))

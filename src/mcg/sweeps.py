@@ -246,12 +246,11 @@ def random_word(model: SurfaceModel, rng: random.Random, length: int = 6) -> Wor
     return word(model, letters)
 
 
-def cross_oracle_random_pairs(
-    model: SurfaceModel, pairs: int, seed: int, budget: int = 4000, window: int = 20
-) -> tuple[int, int, list[str]]:
-    """Generate random word pairs; whenever the engine proves equality,
-    neither oracle may disagree (homology must not refute, projections must
-    coincide). Returns (checked, proved_equal, violations)."""
+def cross_oracle_random_pairs(model: SurfaceModel, pairs: int, seed: int) -> tuple[int, int, list[str]]:
+    """Generate random word pairs; whenever the engine proves equality, under
+    a budget of 4000, neither oracle may disagree (homology at window 20 must
+    not refute, projections must coincide). Returns (checked, proved_equal,
+    violations)."""
     from .permgroup import project
     from .words import invert
 
@@ -266,13 +265,13 @@ def cross_oracle_random_pairs(
             w2 = g * w1 * invert(g)
         else:
             w2 = random_word(model, rng, rng.randint(1, 7))
-        v = equivalent(w1, w2, budget)
+        v = equivalent(w1, w2, 4000)
         if v.kind != "ProvedEqual":
             continue
         proved += 1
         if project(w1) != project(w2):
             violations.append(f"engine proved {w1} = {w2} but projections differ")
-        hom = verify_identity_homology(w1, w2, window)
+        hom = verify_identity_homology(w1, w2, 20)
         if hom.status == "Refuted":
             violations.append(f"engine proved {w1} = {w2} but homology refutes: {hom.witness}")
     return pairs, proved, violations

@@ -30,22 +30,6 @@ def test_verify_missing_script_exit_two(capsys):
     assert main(["verify", "no-such-file.mcg"]) == 2
 
 
-def test_verify_window_too_small_is_an_error_row_exit_one(capsys):
-    # a word over the window fails its own statement; the run goes on and
-    # prints the full report
-    assert main(["verify", "thmA", "--n", "17", "--window", "4"]) == 1
-    out, err = capsys.readouterr()
-    assert err == "" and "RESULT FAIL" in out and "OVERALL FAIL" in out
-    lines = out.splitlines()
-    assert sum(line.startswith("  [") for line in lines) == 67
-    first = next(i for i, line in enumerate(lines) if line.startswith("  [") and " FAIL " in line)
-    assert lines[first].split()[:4] == ["[", "36]", "FAIL", "error"]
-    # the word cut short, its displacement bound and the window it needs
-    witness = lines[first + 1]
-    assert "below the displacement bound 8 of" in witness and "..." in witness
-    assert witness.endswith("it needs a window of at least 8") and len(witness) < 200
-
-
 @pytest.mark.parametrize("n", [1, 0])
 def test_sn_model_with_too_few_ends_blames_n(capsys, n):
     assert main(["project", "A[1]", "--n", str(n)]) == 2
@@ -80,7 +64,7 @@ def test_bad_permutation_point_reports_position(tmp_path, capsys):
 def test_permutation_point_above_n_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("kind sn\nsym tau perm (1 40)\n")
-    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17"]) == 2
     err = capsys.readouterr().err
     assert "bad.model:2" in err and "above n=17" in err
 
@@ -104,7 +88,7 @@ HUGE = "9" * 5000
 def test_huge_permutation_point_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text(f"kind sn\nsym tau perm (1 {HUGE})\n")
-    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17"]) == 2
     err = capsys.readouterr().err
     assert "bad.model:2" in err and "5000-digit" in err and "Traceback" not in err
 
@@ -112,7 +96,7 @@ def test_huge_permutation_point_reports_position(tmp_path, capsys):
 def test_huge_index_map_constant_reports_position(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text(f"kind sn\nsym R end j -> j + {HUGE}\n")
-    assert main(["selfcheck", "--model-file", str(bad), "--n", "17", "--window", "4"]) == 2
+    assert main(["selfcheck", "--model-file", str(bad), "--n", "17"]) == 2
     err = capsys.readouterr().err
     assert "bad.model:2" in err and "5000-digit" in err
 
@@ -130,7 +114,7 @@ BAD_ALIASES = {
 
 
 @pytest.mark.parametrize(
-    "argv", [["selfcheck", "--window", "2"], ["verify", "thmC"]], ids=["selfcheck", "verify"]
+    "argv", [["selfcheck"], ["verify", "thmC"]], ids=["selfcheck", "verify"]
 )
 @pytest.mark.parametrize("case", sorted(BAD_ALIASES))
 def test_malformed_alias_reports_position(tmp_path, capsys, argv, case):
@@ -284,19 +268,11 @@ def test_normalize_matrix_names_the_invalid_columns(capsys, argv, note):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "thmC", "--window", "1"],
-        ["verify", "thmC", "--window", "0"],
-        ["verify", "thmC", "--window", "-5"],
-        ["selfcheck", "--window", "1"],
-        ["normalize", "A[1]", "--matrix", "--matrix-window", "1"],
-    ],
-    ids=["verify-1", "verify-0", "verify-minus-5", "selfcheck", "normalize"],
+    "argv", [["normalize", "A[1]", "--matrix", "--matrix-window", "1"]], ids=["normalize"]
 )
 def test_window_below_the_floor_exits_two(capsys, argv):
-    # every subcommand meets the one floor of the homology window, before
-    # anything is printed
+    # --matrix-window, the one window a user sets, meets the floor of the
+    # homology window before anything is printed
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -348,11 +324,11 @@ def test_default_verify_matches_golden_json(tmp_path):
     assert _mask_clock(out.read_text(encoding="utf-8")) == GOLDEN_DEFAULT_JSON.read_text(encoding="utf-8")
 
 
-# The many-end regime at window 40, masked the same way.
+# The many-end regime, masked the same way.
 @pytest.mark.parametrize("script, n", [("thmA", 129), ("thmB", 128)])
 def test_wide_verify_matches_golden_json(tmp_path, script, n):
     out = tmp_path / "r.json"
-    assert main(["verify", script, "--n", str(n), "--window", "40", "--format", "json", "--out", str(out)]) == 0
+    assert main(["verify", script, "--n", str(n), "--format", "json", "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / f"verify-wide-{script}-{n}.json"
     assert _mask_clock(out.read_text(encoding="utf-8")) == golden.read_text(encoding="utf-8")
 
@@ -390,6 +366,40 @@ def test_jobs_option_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--window", "40"], ["selfcheck", "--window", "20"], ["shiftmap", "--samples", "24"]],
+    ids=["verify", "selfcheck", "shiftmap"],
+)
+def test_coverage_is_not_an_option(capsys, argv):
+    # each check's coverage is a constant of its module
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {argv[1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "{}"], "bad.mcg"),
+        (["selfcheck", "--model-file", "{}"], "bad.model"),
+        (["verify", "thmC", "--model-file", "{}"], "bad.model"),
+    ],
+    ids=["verify-script", "selfcheck-model-file", "verify-model-file"],
+)
+def test_undecodable_input_file_reports_position(tmp_path, capsys, argv, name):
+    # the first byte that is not UTF-8 is an error at its line, before
+    # anything is printed; a CRLF counts as one line break
+    bad = tmp_path / name
+    bad.write_bytes(b"MODEL jacob\n\nASSERT_EQ A[1] = A[1] \xff\n" if name.endswith(".mcg") else b"kind jacob\r\n\r\nsym \xff\n")
+    assert main([a.format(bad) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}:3: not UTF-8 text: byte 0xff cannot be decoded\n"
 
 
 @pytest.mark.parametrize(

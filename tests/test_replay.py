@@ -7,7 +7,8 @@ import pytest
 
 import mcg.replay
 import mcg.rewrite
-from mcg.errors import McgError, OutOfWindow
+from mcg.cli import main
+from mcg.errors import McgError
 from mcg.homology import HomologyResult
 from mcg.replay import replay
 from mcg.rewrite import GoalIndex, reduce_word
@@ -59,17 +60,24 @@ def test_perturbed_formula_fails_with_homology_witness():
     assert "Refuted" in bad_stmt.oracle
 
 
-def test_oracle_runs_once_per_statement(monkeypatch):
-    # the judge runs the oracle once per identity row, whatever the engine
-    # found; replay runs it nowhere else
+def wrap_oracle(monkeypatch, window=None):
+    """Wrap the homology oracle replay calls: record each pair it compares
+    and, given ``window``, compare up to it in place of the fixed window."""
     calls = []
     real = mcg.replay.verify_identity_homology
 
-    def counting(w1, w2, window):
+    def wrapped(w1, w2, fixed):
         calls.append((w1, w2))
-        return real(w1, w2, window)
+        return real(w1, w2, fixed if window is None else window)
 
-    monkeypatch.setattr(mcg.replay, "verify_identity_homology", counting)
+    monkeypatch.setattr(mcg.replay, "verify_identity_homology", wrapped)
+    return calls
+
+
+def test_oracle_runs_once_per_statement(monkeypatch):
+    # the judge runs the oracle once per identity row, whatever the engine
+    # found; replay runs it nowhere else
+    calls = wrap_oracle(monkeypatch)
     text = resources.files("mcg.data.scripts").joinpath("thmA.mcg").read_text()
     bad = text.replace("ASSERT_EQ F2 = A[3] C[3] B[6]", "ASSERT_EQ F2 = A[3] C[3] B[7]")
     rep = replay(parse(bad, "thmA-perturbed"), n=17)
@@ -122,32 +130,33 @@ def test_starved_let_reduction_says_it_kept_the_word():
     assert y.witness == "" and len(rep.env["y"]) == 0
 
 
-def test_window_below_displacement_is_an_error_row():
-    # the statement whose word is over the window fails with the bound it
-    # needs, its LET name stays unbound, and every later row is still there
-    rep = replay(load("thmA"), n=17, window=5)
-    assert len(rep.statements) == 67 and not rep.passed
-    first = rep.failures[0]
-    assert (first.line, first.kind, first.verdict) == (36, "Let", "error")
-    assert first.witness.startswith("window 5 is below the displacement bound 8 of")
-    assert first.witness.endswith("it needs a window of at least 8")
-    assert "F3" not in rep.env
-    uses = [s for s in rep.failures if "'F3' has no value" in s.witness]
-    assert uses and all(s.line > 36 for s in uses)
+def test_window_below_displacement_is_an_error_row(tmp_path, capsys):
+    # a LET word reaching past genus 40 fails its own row with the bound it
+    # needs, its name stays unbound, every later row is still there, and
+    # the run exits 1 with its full report
+    script, out = tmp_path / "far.mcg", tmp_path / "r.json"
+    far = " ".join(["A[41] B[41]"] * 6)
+    script.write_text(f"MODEL jacob\nLET X = {far}\nASSERT_EQ X = X\nASSERT_INVOLUTION X\nASSERT_EQ A[1] = A[1]\n")
+    assert main(["verify", str(script), "--format", "json", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    rows = json.loads(out.read_text())["scripts"][0]["statements"]
+    assert [(r["line"], r["verdict"]) for r in rows] == [(2, "error"), (3, "error"), (4, "error"), (5, "ProvedEqual")]
+    # the word cut short, its displacement bound and the window it needs
+    witness = rows[0]["witness"]
+    assert witness.startswith("window 40 is below the displacement bound 43 of A[41] B[41]")
+    assert "..." in witness and far not in witness and len(witness) < 200
+    assert witness.endswith("(12 letters); it needs a window of at least 43")
+    assert [r["witness"] for r in rows[1:3]] == ["name 'X' has no value: LET X at line 2 failed"] * 2
 
 
-def test_thmC_rows_do_not_depend_on_the_window():
+def test_thmC_rows_do_not_depend_on_the_window(monkeypatch):
     # the window only bounds which columns are compared: the images are
     # exact past it, so thmC's tau3 conjugation checks all 122 columns at
     # window 40 as at window 1000
-    rows = {w: [s.json_fields() for s in replay(load("thmC"), window=w).statements] for w in (40, 1000)}
-    assert rows[40] == rows[1000]
-    assert [s["oracle"] for s in rows[40] if s["line"] in (23, 24)] == ["Consistent(122/122 columns)"] * 2
-
-
-def test_window_below_the_floor_raises_before_any_row():
-    with pytest.raises(OutOfWindow, match=r"^window must be at least 2$"):
-        replay(load("thmC"), window=1)
+    fixed = [s.json_fields() for s in replay(load("thmC")).statements]
+    wrap_oracle(monkeypatch, 1000)
+    assert [s.json_fields() for s in replay(load("thmC")).statements] == fixed
+    assert [s["oracle"] for s in fixed if s["line"] in (23, 24)] == ["Consistent(122/122 columns)"] * 2
 
 
 def test_uses_of_a_failed_let_name_it_and_its_line():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcg import load_model
-from mcg.homology import DEFAULT_WINDOW, TruncatedBasis, word_matrix
+from mcg.homology import TruncatedBasis, word_matrix
 from mcg.replay import StatementResult, judge
 from mcg.rewrite import (
     DEFAULT_BUDGET,
@@ -60,7 +60,7 @@ def rho3(model):
 
 def judged(w1, w2):
     """The verdict replay's judge gives an identity row w1 = w2."""
-    return judge(StatementResult(0, 0, "", "", "", False), w1, w2, DEFAULT_BUDGET, DEFAULT_WINDOW)
+    return judge(StatementResult(0, 0, "", "", "", False), w1, w2, DEFAULT_BUDGET)
 
 
 # -- normalize ---------------------------------------------------------------

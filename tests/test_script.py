@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcg.errors import McgError, ParseError, Redefinition, UndefinedName
+from mcg.errors import McgError, ParseError, Redefinition, ScriptError, UndefinedName
 from mcg.modelfile import builtin_model_text, parse_model_text
 from mcg.script import (
     CONVENTIONS_ID,
@@ -136,6 +136,31 @@ def test_budget_and_param_header_lines():
     assert s.budget == 5000
     assert s.param.defaults == (17, 19)
     assert s.default_n() == 17
+
+
+def test_budget_takes_only_what_int_reads():
+    # a superscript two is a digit to str.isdigit, but int() cannot read it
+    with pytest.raises(ParseError) as err:
+        parse("MODEL jacob\nBUDGET \u00b2\n")
+    assert (err.value.line, err.value.column, err.value.message) == (2, 8, "bad BUDGET '\u00b2'")
+
+
+def test_any_whitespace_ends_a_statement_keyword():
+    # a tab ends the keyword as a space does, and columns count each
+    # whitespace character once
+    s = parse("MODEL\tjacob\nLET\tx = A[1]\n")
+    assert s.kind == "jacob" and [st.name for st in s.statements] == ["x"]
+    for stmt, col, msg in (
+        ("LET\tx = A[1] $", 14, "unexpected character '$'"),
+        ("LET\tE = A[1]\nLET  E = B[1]", 6, "name 'E' is already defined"),
+        ("BUDGET\t\t-1", 9, "bad BUDGET '-1'"),
+    ):
+        with pytest.raises(ScriptError) as err:
+            parse("MODEL\tjacob\n" + stmt + "\n")
+        assert (err.value.line, err.value.column, err.value.message) == (stmt.count("\n") + 2, col, msg)
+    with pytest.raises(ParseError) as err:
+        parse("MODEL \t sn2\n")
+    assert (err.value.column, err.value.message) == (9, "unknown model kind 'sn2'")
 
 
 def test_unexpected_character_is_positioned():
