@@ -1,11 +1,11 @@
 """Command-line entry point: verify, selfcheck, shiftmap, project, normalize.
 
 Exit codes: 0 all checks passed, 1 an assertion or property failed (Unknown
-verdicts and ``error`` rows, such as a word over the window, included), 2
-configuration, parse or model errors. The rewrite budget (``--budget``, else
-MCG_BUDGET, else a script's BUDGET line, else 100000) bounds every search.
-Each check's coverage (homology window, validation window, sampled rows) is a
-constant of the module that owns the check; no flag sets it.
+verdicts and ``error`` rows included), 2 configuration, parse or model
+errors. The rewrite budget (``--budget``, else MCG_BUDGET, else a script's
+BUDGET line, else 100000) bounds every search. No flag sets a check's
+coverage: the homology oracle compares each pair up to its own displacement
+bound, and the validation window and the sampled rows are constants.
 """
 
 from __future__ import annotations

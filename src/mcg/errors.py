@@ -21,8 +21,7 @@ class ModelMismatch(McgError):
 
 
 class OutOfWindow(McgError):
-    """A homology window below the floor of 2, or a word whose displacement
-    bound exceeds the window replay compares (``homology.DEFAULT_WINDOW``)."""
+    """A homology window below the floor of 2 (``normalize --matrix-window 1``)."""
 
 
 class BudgetExhausted(McgError):

@@ -26,10 +26,10 @@ column holding that handle is masked. ``Consistent`` is a necessary
 condition, not a proof.
 
 This module owns the window, which bounds only which columns are compared.
-Replay compares the columns up to the constant ``DEFAULT_WINDOW`` and runs
-the displacement rule ``check_displacement`` on each word it evaluates, so
-no word reaches past the columns compared. A ``TruncatedBasis`` needs a
-window of at least 2, the two positions a linking class spans.
+Without one, the oracle compares a pair up to its own displacement bound,
+and rank arithmetic (``TruncatedBasis.rank``/``key_at``) finds the columns
+it reports without listing the basis. A ``TruncatedBasis`` needs a window
+of at least 2, the two positions a linking class spans.
 
 One kernel, ``_push``, applies a word right to left to all start columns
 at once, at a cost that follows the columns twists touch rather than the
@@ -70,7 +70,6 @@ from .words import Letter, Shift, Twist, Word
 
 Key = int  # (position << 1) | kind, see the module docstring
 Vec = dict[Key, int]
-DEFAULT_WINDOW = 40  # genus (sn) or index magnitude (chain models) of the columns a replay compares
 
 
 def key_of(model: SurfaceModel, kind: str, *position: int) -> Key:
@@ -154,6 +153,20 @@ class TruncatedBasis:
     def size(self) -> int:
         """``len(self.keys())``, without building the keys."""
         return len(self.span)
+
+    def rank(self, key: Key) -> int:
+        """The position of ``key`` in ``keys()``, without building the keys."""
+        if self.model.kind == "sn":
+            genus, end = divmod(key >> 1, self.model.n)
+            return ((end * self.window + genus - 1) << 1) | (key & 1)
+        return key - self.span.start
+
+    def key_at(self, rank: int) -> Key:
+        """``keys()[rank]``, without building the keys."""
+        if self.model.kind == "sn":
+            end, rest = divmod(rank, 2 * self.window)
+            return ((((rest >> 1) + 1) * self.model.n + end) << 1) | (rank & 1)
+        return self.span[rank]
 
     def in_window(self, key: Key) -> bool:
         return key in self.span
@@ -375,8 +388,9 @@ class HomologyResult:
         return f"{self.status}({self.valid_columns}/{self.checked_columns} columns){tail}"
 
 
-def _support_bound(words: Iterable[Word]) -> tuple[int, int]:
-    """(max index magnitude touched, max displacement a column can see).
+def _support_bound(words: Iterable[Word]) -> int:
+    """The window past which no column can move: the largest index magnitude
+    touched, plus the largest displacement a column can see, plus one.
 
     The displacement is the number of shift letters (each moves a strand
     position by one) plus, on the chain models, the largest translation part
@@ -405,72 +419,68 @@ def _support_bound(words: Iterable[Word]) -> tuple[int, int]:
                 aut = step if aut is None else step.compose(aut)
                 maxv = max(maxv, abs(aut.v))
         disp = max(disp, shifts + maxv + 1)
-    return top, disp
+    return top + disp + 1
 
 
-def check_displacement(w: Word) -> None:
-    """Raise ``OutOfWindow`` when the displacement bound of ``w``, its
-    touched positions plus how far a column can wander, exceeds ``DEFAULT_WINDOW``."""
-    top, disp = _support_bound((w,))
-    if top + disp > DEFAULT_WINDOW:
-        text = str(w) if len(str(w)) <= 60 else str(w)[:57] + "..."
-        raise OutOfWindow(
-            f"window {DEFAULT_WINDOW} is below the displacement bound {top + disp} of {text} ({len(w)} letters);"
-            f" it needs a window of at least {top + disp}"
-        )
+def _first_start(basis: TruncatedBasis, skip: set[Key], relabels: tuple[_Relabel, _Relabel] | None = None) -> int:
+    """The rank of the first start outside ``skip``, of those that two different
+    ``relabels`` send apart when given (``basis.size()`` if none). Relabels agree
+    on all of an sn end or none of it, and distinct affine index maps at one
+    chain position at most, so no search lists the basis."""
+    rank, block = 0, 2 * basis.window if basis.model.kind == "sn" else 1  # the keys of one end, or one key
+    while rank < basis.size():
+        key = basis.key_at(rank)
+        if relabels and relabels[0].forward(key) == relabels[1].forward(key):
+            rank += block
+        elif key in skip:
+            rank += 1
+        else:
+            break
+    return rank
 
 
-def verify_identity_homology(
-    w1: Word,
-    w2: Word,
-    window: int,
-) -> HomologyResult:
+def verify_identity_homology(w1: Word, w2: Word, window: int | None = None) -> HomologyResult:
     """Compare the exact homology images of two words column by column,
-    over the columns of the window that the crossing masks on neither side.
+    over the columns that the crossing masks on neither side.
 
     Columns provably fixed by both words are not compared: on ``sn`` models
     a column whose genus exceeds every touched genus plus the total shift
     displacement never meets a twist class or a shifted strand edge; on the
     chain models the same holds beyond the touched positions plus the total
-    translation distance. Of the rest, only columns that a twist changed
-    on either side are built, unless the two words end with different
-    relabels.
+    translation distance. A ``window`` caps the columns below that bound.
+    Only columns that a twist changed on either side are built.
     """
     if w1.model is not w2.model:
         return HomologyResult("Inconclusive", "model mismatch")
-    top, disp = _support_bound((w1, w2))
-    starts = TruncatedBasis(w1.model, min(window, top + disp + 1))
+    bound = _support_bound((w1, w2))
+    starts = TruncatedBasis(w1.model, bound if window is None else min(window, bound))
     checked = starts.size()
     p1 = _push(starts, w1.letters)
     # a replay often checks a word against itself: one push serves both sides
-    same = w2.letters == w1.letters
-    p2 = p1 if same else _push(starts, w2.letters)
-    if p1.error or p2.error:
-        # the first start in basis order that was live at an error
-        for key in starts.keys():
-            for p in (p1, p2):
-                if p.error and key not in p.dead:
-                    return HomologyResult("Inconclusive", str(p.error))
+    p2 = p1 if w2.letters == w1.letters else _push(starts, w2.letters)
+    stopped = [p for p in (p1, p2) if p.error]
+    if stopped:
+        # the error of the first start in basis order that was live at one
+        return HomologyResult("Inconclusive", str(min(stopped, key=lambda p: _first_start(starts, p.dead)).error))
     dead = p1.dead | p2.dead
-    if same:
-        differ: set[Key] = set()
+    touched = (p1.cols.keys() | p2.cols.keys()) - dead
+    if p1 is p2:
+        ranks = []
     elif p1.relabel.signature() == p2.relabel.signature():
         # a column untouched on both sides is one unit vector, relabelled alike
-        differ = {k for k in p1.cols.keys() | p2.cols.keys() if k not in dead and p1.stored(k) != p2.stored(k)}
+        ranks = [starts.rank(k) for k in touched if p1.stored(k) != p2.stored(k)]
     else:
-        differ = {k for k in starts.keys() if k not in dead and p1.image(k) != p2.image(k)}
-    if differ:
-        valid = 0
-        for key in starts.keys():
-            if key in dead:
-                continue
-            valid += 1
-            if key in differ:
-                witness = (
-                    f"{starts.key_label(key)} maps to "
-                    f"{_fmt_vec(starts, p1.image(key))} vs {_fmt_vec(starts, p2.image(key))}"
-                )
-                return HomologyResult("Refuted", witness, valid, checked)
+        ranks = [starts.rank(k) for k in touched if p1.image(k) != p2.image(k)]
+        ranks.append(_first_start(starts, touched | dead, (p1.relabel, p2.relabel)))
+    first = min(ranks, default=checked)  # the first start whose images differ
+    if first < checked:
+        key = starts.key_at(first)
+        valid = first + 1 - sum(starts.rank(k) < first for k in dead)
+        witness = (
+            f"{starts.key_label(key)} maps to "
+            f"{_fmt_vec(starts, p1.image(key))} vs {_fmt_vec(starts, p2.image(key))}"
+        )
+        return HomologyResult("Refuted", witness, valid, checked)
     valid = checked - len(dead)
     if valid == 0:
         return HomologyResult("Inconclusive", "empty valid subspace", 0, checked)

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExhausted, McgError
-from .homology import DEFAULT_WINDOW, check_displacement, verify_identity_homology
+from .homology import verify_identity_homology
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
@@ -75,7 +75,6 @@ class ReplayReport:
     model: str
     n: int
     budget: int
-    window: int
     statements: list[StatementResult] = field(default_factory=list)
     wall_s: float = 0.0
     env: dict[str, Word] = field(default_factory=dict)  # the LET bindings, reduced as replay made them
@@ -100,8 +99,8 @@ def replay(
     model: SurfaceModel | None = None,
 ) -> ReplayReport:
     """Run a parsed script, every engine call under ``budget``; failures do
-    not stop execution: a statement that raises an ``McgError`` (a word over
-    the window too) is an ``error`` row, and a failed ``LET`` binds nothing."""
+    not stop execution: a statement that raises an ``McgError`` is an
+    ``error`` row, and a failed ``LET`` binds nothing."""
     n = n if n is not None else script.default_n()  # None on a chain model: the model fixes n
     if script.param is not None and n is not None:
         msg = script.param.check(n)
@@ -114,7 +113,7 @@ def replay(
         raise McgError(f"{script.path}: the {model.describe()} model has n={model.n}, not {n}")
     ctx = EvalContext(model, model.n)
     proved: list[tuple[str, Word]] = []
-    report = ReplayReport(script.path, model.describe(), model.n, budget, DEFAULT_WINDOW, env=ctx.env)
+    report = ReplayReport(script.path, model.describe(), model.n, budget, env=ctx.env)
 
     t_start = time.perf_counter()
     for idx, stmt in enumerate(script.statements):
@@ -123,7 +122,6 @@ def replay(
         try:
             if isinstance(stmt, SLet):
                 w = eval_word(stmt.expr, ctx)
-                check_displacement(w)
                 red = normalize(w, budget)
                 if not red.normalized:
                     res.witness = f"reduction budget exhausted; kept unreduced ({len(w)} letters)"
@@ -133,7 +131,6 @@ def replay(
             elif isinstance(stmt, SAssertEq):
                 left = eval_word(stmt.left, ctx)
                 right = eval_word(stmt.right, ctx)
-                check_displacement(left), check_displacement(right)
                 judge(res, left, right, budget)
                 if res.ok:
                     # goal matching reads the commutation-canonical form,
@@ -145,7 +142,6 @@ def replay(
                     proved.append((f"eq@{stmt.line}", right))
             elif isinstance(stmt, SAssertInvolution):
                 w = eval_word(stmt.expr, ctx)
-                check_displacement(w)
                 judge(res, *check_involution(w), budget)
                 if res.ok:
                     proved.append((f"involution@{stmt.line}", w))
@@ -193,7 +189,7 @@ def judge(res: StatementResult, w1: Word, w2: Word, budget: int) -> Verdict:
     conflict, named in the witness, and fails the row.
     """
     v: Verdict = equivalent(w1, w2, budget)
-    hom = verify_identity_homology(w1, w2, DEFAULT_WINDOW)
+    hom = verify_identity_homology(w1, w2, None)
     if v.kind == "Unknown":
         p1, p2 = project(w1), project(w2)
         if p1 != p2:

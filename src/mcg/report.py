@@ -22,11 +22,7 @@ def render_text(reports: list[ReplayReport]) -> str:
     print(f"conventions: {CONVENTIONS_TEXT}", file=out)
     for rep in reports:
         print(file=out)
-        print(
-            f"== {rep.script}  model {rep.model}  n={rep.n}  "
-            f"budget={rep.budget}  window={rep.window}",
-            file=out,
-        )
+        print(f"== {rep.script}  model {rep.model}  n={rep.n}  budget={rep.budget}", file=out)
         for st in rep.statements:
             mark = "ok  " if st.ok else "FAIL"
             oracle = f"  oracle={st.oracle}" if st.oracle else ""
@@ -55,7 +51,6 @@ def report_json(reports: list[ReplayReport]) -> dict:
                 "model": rep.model,
                 "n": rep.n,
                 "budget": rep.budget,
-                "window": rep.window,
                 "result": "PASS" if rep.passed else "FAIL",
                 "statements": [st.json_fields() for st in rep.statements],
             }

