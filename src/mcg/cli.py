@@ -5,7 +5,8 @@ verdicts and ``error`` rows included), 2 configuration, parse or model
 errors. The rewrite budget (``--budget``, else MCG_BUDGET, else a script's
 BUDGET line, else 100000) bounds every search. No flag sets a check's
 coverage: the homology oracle compares each pair up to its own displacement
-bound, and the validation window and the sampled rows are constants.
+bound, and the validation window and the sampled rows are constants. Each
+subcommand imports the modules that only it uses when it runs.
 """
 
 from __future__ import annotations
@@ -17,15 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import McgError, decode_utf8
-from .homology import TruncatedBasis, transvection_selftest, word_matrix
 from .modelfile import load_model, parse_model_file
-from .permgroup import Permutation, certify_full_symmetric, group_order, project
-from .replay import replay
-from .report import render_json, render_text, write_report_dir
-from .rewrite import DEFAULT_BUDGET, normalize
 from .script import CONVENTIONS_TEXT, ProofScript, parse, read_word
-from .shiftmap import check_shift_properties
-from .sweeps import homology_property_sweep, pairing_preservation_sweep
 
 BUILTIN_SCRIPTS = ("thmA", "thmB", "thmC", "thmD")
 SELFCHECK_WINDOW = 20  # selfcheck validates each model up to this genus or index
@@ -61,6 +55,8 @@ def _load_script_text(name: str) -> tuple[str, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .replay import replay
+    from .report import render_json, render_text, write_report_dir
     runs: list[tuple[ProofScript, int | None]] = []
     try:
         budget = _budget(args.budget)
@@ -104,6 +100,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from .homology import transvection_selftest
+    from .permgroup import Permutation, certify_full_symmetric, group_order
+    from .shiftmap import check_shift_properties
+    from .sweeps import homology_property_sweep, pairing_preservation_sweep
     # a bad model file fails before anything is printed
     if args.model_file:
         models = [parse_model_file(args.model_file, n=args.n)]
@@ -149,17 +149,21 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_shiftmap(args: argparse.Namespace) -> int:
+    from .shiftmap import check_shift_properties
     report = check_shift_properties()
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_project(args: argparse.Namespace) -> int:
+    from .permgroup import project
     print(project(read_word(args.word, load_model(args.model, args.n))).cycle_notation())
     return 0
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    from .homology import TruncatedBasis, word_matrix
+    from .rewrite import DEFAULT_BUDGET, normalize
     budget = _budget(args.budget)
     w = read_word(args.word, load_model(args.model, args.n))
     # a bad --matrix-window fails before anything is printed

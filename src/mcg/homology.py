@@ -58,14 +58,14 @@ mates. Keys turn into the tuples
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OutOfWindow, UndefinedSymmetry
 from .labels import CurveLabel
 from .modelfile import load_model
 from .models import Automorphism, SurfaceModel
+from .records import Frozen, Record, set_slot
 from .words import Letter, Shift, Twist, Word
 
 Key = int  # (position << 1) | kind, see the module docstring
@@ -122,24 +122,23 @@ def _class_entry(model: SurfaceModel, c: CurveLabel) -> tuple[Vec, list[tuple[Ke
     return hit
 
 
-@dataclass(frozen=True)
-class TruncatedBasis:
+class TruncatedBasis(Frozen):
     """The basis columns up to genus (sn) or index magnitude (chain models)
     ``window``, in order: the columns a check compares. Their images are
     exact at every genus and index."""
 
-    model: SurfaceModel
-    window: int
+    _fields = ("model", "window")
     # the window's keys fill one range of key values: genus 1 to window at
     # every end (sn), index -window to window (chain models)
-    span: range = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("span",)
 
-    def __post_init__(self):
-        if self.window < 2:  # the floor: a linking class, C[1] = a_1 - a_2, spans two positions
+    def __init__(self, model: SurfaceModel, window: int):
+        if window < 2:  # the floor: a linking class, C[1] = a_1 - a_2, spans two positions
             raise OutOfWindow("window must be at least 2")
-        w, n = self.window, self.model.n
-        span = range(2 * n, 2 * n * (w + 1)) if self.model.kind == "sn" else range(-2 * w, 2 * w + 2)
-        object.__setattr__(self, "span", span)
+        w, n = window, model.n
+        set_slot(self, "model", model)
+        set_slot(self, "window", w)
+        set_slot(self, "span", range(2 * n, 2 * n * (w + 1)) if model.kind == "sn" else range(-2 * w, 2 * w + 2))
 
     def keys(self) -> list[Key]:
         """Keys in basis order: by end, then genus, on sn; by index on the
@@ -264,8 +263,7 @@ class _Relabel:
         return self.aut.u, self.aut.v, frozenset((e, d) for e, d in self.lift.items() if d)
 
 
-@dataclass
-class _Pushed:
+class _Pushed(Record):
     """A word applied to the unit start columns, kept lazily.
 
     ``cols`` holds, in start coordinates, the columns a twist has changed;
@@ -276,10 +274,10 @@ class _Pushed:
     action; the word stopped there and each of them maps to that error.
     """
 
-    cols: dict[Key, Vec]
-    dead: set[Key]
-    relabel: _Relabel
-    error: UndefinedSymmetry | None
+    __slots__ = _fields = ("cols", "dead", "relabel", "error")
+
+    def __init__(self, cols: dict[Key, Vec], dead: set[Key], relabel: _Relabel, error: UndefinedSymmetry | None):
+        self.cols, self.dead, self.relabel, self.error = cols, dead, relabel, error
 
     def stored(self, start: Key) -> Vec:
         return self.cols.get(start) or {start: 1}
@@ -376,8 +374,7 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
 # identity verification
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     status: str  # "Consistent" | "Refuted" | "Inconclusive"
     witness: str = ""
     valid_columns: int = 0
@@ -503,14 +500,14 @@ def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
 # explicit matrices: word_matrix and its grid (small windows, for display)
 
 
-@dataclass
-class IntMatrix:
+class IntMatrix(Record):
     """Sparse exact-integer matrix over a window's columns with a validity
     mask: only columns in ``valid`` are asserted."""
 
-    basis: TruncatedBasis
-    cols: dict[Key, Vec]
-    valid: frozenset[Key]
+    __slots__ = _fields = ("basis", "cols", "valid")
+
+    def __init__(self, basis: TruncatedBasis, cols: dict[Key, Vec], valid: frozenset[Key]):
+        self.basis, self.cols, self.valid = basis, cols, valid
 
     def grid(self) -> str:
         """Plain-text integer grid (row-major over the basis order)."""

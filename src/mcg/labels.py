@@ -22,9 +22,10 @@ two-ended and one-ended models have a single distinguished shift, which the
 engine treats as a defined product of the primitive involutions rather than a
 generator in its own right.
 
-Both label types are immutable tuples (``typing.NamedTuple``): construction,
-hashing, equality and ordering run in C, and a label hashes as its field
-tuple. The code compares a label only with labels of its own type.
+Both label types are immutable tuples (``typing.NamedTuple``), as every
+immutable value type of the package is (``records`` covers the rest):
+construction, hashing, equality and ordering run in C, and a label hashes as
+its field tuple. The code compares a label only with labels of its own type.
 """
 
 from __future__ import annotations

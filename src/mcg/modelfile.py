@@ -33,6 +33,7 @@ All errors carry the file path and line number.
 from __future__ import annotations
 
 import re
+from functools import cache
 from importlib import resources
 
 from .errors import McgError, ModelFileError, decode_utf8
@@ -236,6 +237,7 @@ def parse_model_file(path: str, n: int | None = None) -> SurfaceModel:
     return parse_model_text(decode_utf8(data, path), n=n, path=path)
 
 
+@cache  # each shipped file is read once per process; load_model compiles it per call
 def builtin_model_text(kind: str) -> str:
     fname = {"sn": "sn.model", "jacob": "jacob.model", "lochness": "lochness.model"}[kind]
     return resources.files("mcg.data.models").joinpath(fname).read_text(encoding="utf-8")

@@ -33,11 +33,11 @@ derived from the end map rather than stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidLabel, McgError, UndefinedSymmetry
 from .labels import FAMILIES, CurveLabel, ShiftLabel, family_print
+from .records import Frozen, set_slot
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +158,7 @@ class Symmetry(NamedTuple):
 # the model proper
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     check: str
     detail: str
 
@@ -167,8 +166,7 @@ class ValidationIssue:
         return f"{self.check}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     model: str
     window: int
     labels_checked: int
@@ -186,23 +184,32 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceModel:
-    """Immutable surface model: label ranges, adjacency, symmetry actions."""
+class SurfaceModel(Frozen):
+    """Immutable surface model: label ranges, adjacency, symmetry actions; equal only to itself."""
 
-    kind: str  # "sn" | "jacob" | "lochness"
-    n: int  # number of ends (sn: >=3, jacob: 2, lochness: 1)
-    adjacency: dict[str, tuple[Adjacency, ...]]  # by family: both directions of every adj line
-    symmetries: dict[str, Symmetry]
-    aliases: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)  # words.Sym letters
-    removed: frozenset[frozenset[CurveLabel]] = field(default_factory=frozenset)
+    _fields = ("kind", "n", "adjacency", "symmetries", "aliases", "removed")
+    # neighbour, symmetry-word, homology-class and rewrite-context memos:
+    # idempotent values, filled on first use
+    __slots__ = _fields + ("_ncache", "_acache", "_hcache", "_rewrite_ctx", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        # neighbour, symmetry-word and homology-class memos: idempotent
-        # values, filled on first use; the model is otherwise immutable
-        object.__setattr__(self, "_ncache", {})
-        object.__setattr__(self, "_acache", {})
-        object.__setattr__(self, "_hcache", {})
+    def __init__(
+        self,
+        kind: str,  # "sn" | "jacob" | "lochness"
+        n: int,  # number of ends (sn: >=3, jacob: 2, lochness: 1)
+        adjacency: dict[str, tuple[Adjacency, ...]],  # by family: both directions of every adj line
+        symmetries: dict[str, Symmetry],
+        aliases: dict[str, tuple[tuple[str, int], ...]] | None = None,  # words.Sym letters
+        removed: frozenset[frozenset[CurveLabel]] = frozenset(),
+    ):
+        fields = (kind, n, adjacency, symmetries, {} if aliases is None else aliases, removed)
+        for name, value in zip(self.__slots__, fields + ({}, {}, {}, None)):
+            set_slot(self, name, value)
+
+    def replace(self, **changes) -> "SurfaceModel":
+        """A new model with ``changes`` to its fields and empty memos."""
+        return SurfaceModel(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
     # -- label plumbing ----------------------------------------------------
 
@@ -302,7 +309,7 @@ class SurfaceModel:
     def without_adjacency(self, c1: CurveLabel, c2: CurveLabel) -> "SurfaceModel":
         """Copy of the model with one adjacency instance deleted (for tests)."""
         pair = frozenset((self.check_curve(c1), self.check_curve(c2)))
-        return replace(self, removed=self.removed | {pair})
+        return self.replace(removed=self.removed | {pair})
 
     # -- symmetries ---------------------------------------------------------
 

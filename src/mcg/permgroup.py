@@ -21,28 +21,27 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-
 from .errors import McgError
+from .records import Frozen, set_slot
 from .words import Sym, Word
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {1..n}, stored as the image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise McgError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise McgError(f"not a permutation of 1..{len(images)}: {images}")
+        set_slot(self, "images", images)
 
     @staticmethod
     def _raw(images: tuple[int, ...]) -> "Permutation":
         """Skip validation for images known to be permutations (products,
         inverses of validated ones)."""
         p = object.__new__(Permutation)
-        object.__setattr__(p, "images", images)
+        set_slot(p, "images", images)
         return p
 
     @staticmethod

@@ -9,13 +9,14 @@ code with it, refute or confirm."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetExhausted, McgError
 from .homology import verify_identity_homology
 from .modelfile import load_model
 from .models import SurfaceModel
 from .permgroup import Permutation, project
+from .records import Record
 from .rewrite import (
     DEFAULT_BUDGET,
     Budget,
@@ -41,8 +42,7 @@ from .script import (
 from .words import Word
 
 
-@dataclass(frozen=True)
-class ProvedDistinct:
+class ProvedDistinct(NamedTuple):
     kind = "ProvedDistinct"
     oracle: str  # the oracle that refuted: "projection" or "homology"
     witness: str
@@ -51,33 +51,32 @@ class ProvedDistinct:
 Verdict = ProvedEqual | ProvedDistinct | Unknown
 
 
-@dataclass
-class StatementResult:
-    index: int
-    line: int
-    kind: str
-    statement: str
-    verdict: str  # ProvedEqual / ProvedDistinct / Unknown / Yes / No / bound / ok / error
-    ok: bool
-    oracle: str = ""  # homology cross-check, when one ran
-    budget_used: int = 0
-    witness: str = ""
-    wall_ms: float = 0.0
+class StatementResult(Record):
+    """One report row: ``verdict`` is ProvedEqual, ProvedDistinct, Unknown, Yes,
+    No, bound, ok or error, and ``oracle`` the homology cross-check, if one ran."""
+
+    __slots__ = _fields = (
+        "index", "line", "kind", "statement", "verdict", "ok", "oracle", "budget_used", "witness", "wall_ms"
+    )
+
+    def __init__(self, index: int, line: int, kind: str, statement: str, verdict: str, ok: bool,
+                 oracle: str = "", budget_used: int = 0, witness: str = "", wall_ms: float = 0.0):
+        self.index, self.line, self.kind, self.statement, self.verdict = index, line, kind, statement, verdict
+        self.ok, self.oracle, self.budget_used, self.witness, self.wall_ms = ok, oracle, budget_used, witness, wall_ms
 
     def json_fields(self) -> dict:
         """The report's fields, in order: all but the clock."""
-        return {k: v for k, v in vars(self).items() if k != "wall_ms"}
+        return {f: getattr(self, f) for f in self._fields if f != "wall_ms"}
 
 
-@dataclass
-class ReplayReport:
-    script: str
-    model: str
-    n: int
-    budget: int
-    statements: list[StatementResult] = field(default_factory=list)
-    wall_s: float = 0.0
-    env: dict[str, Word] = field(default_factory=dict)  # the LET bindings, reduced as replay made them
+class ReplayReport(Record):
+    __slots__ = _fields = ("script", "model", "n", "budget", "statements", "wall_s", "env")
+
+    def __init__(self, script: str, model: str, n: int, budget: int, statements: list[StatementResult] | None = None,
+                 wall_s: float = 0.0, env: dict[str, Word] | None = None):
+        self.script, self.model, self.n, self.budget, self.wall_s = script, model, n, budget, wall_s
+        self.statements = [] if statements is None else statements
+        self.env = {} if env is None else env  # the LET bindings, reduced as replay made them
 
     @property
     def passed(self) -> bool:

@@ -7,7 +7,6 @@ identical output except for the two clock fields (``timestamp`` and
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
@@ -66,6 +65,8 @@ def render_json(reports: list[ReplayReport]) -> str:
 
 
 def write_csv(reports: list[ReplayReport], path: Path) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(

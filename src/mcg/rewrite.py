@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, ModelMismatch, UndefinedSymmetry
 from .labels import CurveLabel, FAMILY_RANK
 from .models import Automorphism, SurfaceModel
+from .records import set_slot
 from .words import Letter, Shift, Sym, Twist, Word, invert, invert_letter
 
 DEFAULT_BUDGET = 100_000
@@ -76,15 +76,13 @@ class Budget:
 # verdicts
 
 
-@dataclass(frozen=True)
-class ProvedEqual:
+class ProvedEqual(NamedTuple):
     kind = "ProvedEqual"
     trace: tuple[str, ...]
     budget_used: int
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     kind = "Unknown"
     reason: str
     budget_used: int
@@ -231,10 +229,10 @@ class _Ctx:
 
 
 def _ctx(model: SurfaceModel) -> _Ctx:
-    ctx = getattr(model, "_rewrite_ctx", None)
+    ctx = model._rewrite_ctx
     if ctx is None:
         ctx = _Ctx(model)
-        object.__setattr__(model, "_rewrite_ctx", ctx)
+        set_slot(model, "_rewrite_ctx", ctx)
     return ctx
 
 
@@ -494,8 +492,7 @@ class GoalIndex:
 # public operations
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(NamedTuple):
     normalized: bool
     word: Word
     trace: tuple[str, ...]

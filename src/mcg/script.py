@@ -36,11 +36,11 @@ a mismatch is a parse error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 from .errors import InvalidLabel, McgError, ParseError, Redefinition, UndefinedName
 from .labels import family_parse, family_print
 from .models import SurfaceModel
+from .records import Frozen, Record
 from .words import MAX_LETTERS, Letter, Shift, Sym, Twist, Word, free_reduce, power
 
 CONVENTIONS_TEXT = "compose=rtl;conj(x,g)=g*x*inv(g);twists=right-handed;order=end,genus,A<A'<B<C"
@@ -57,8 +57,7 @@ _PRIMITIVES = {
 # index expressions
 
 
-@dataclass(frozen=True)
-class INum:
+class INum(NamedTuple):
     value: int
 
     def eval(self, n: int) -> int:
@@ -69,8 +68,9 @@ class INum:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class IVar:
+class IVar(Frozen):
+    __slots__ = ()
+
     def eval(self, n: int) -> int:
         return n
 
@@ -78,8 +78,7 @@ class IVar:
         return "n"
 
 
-@dataclass(frozen=True)
-class IOp:
+class IOp(NamedTuple):
     op: str
     left: "IndexExpr"
     right: "IndexExpr"
@@ -107,8 +106,7 @@ IndexExpr = INum | IVar | IOp
 # word expressions
 
 
-@dataclass(frozen=True)
-class ECurve:
+class ECurve(NamedTuple):
     family: str
     inverse: bool
     indices: tuple[IndexExpr, ...]
@@ -118,8 +116,7 @@ class ECurve:
         return f"{family_print(self.family)}{'~' if self.inverse else ''}[{idx}]"
 
 
-@dataclass(frozen=True)
-class EShift:
+class EShift(NamedTuple):
     inverse: bool
     ends: tuple[IndexExpr, IndexExpr]
 
@@ -127,8 +124,7 @@ class EShift:
         return f"h{'~' if self.inverse else ''}[{self.ends[0].text()},{self.ends[1].text()}]"
 
 
-@dataclass(frozen=True)
-class EName:
+class EName(NamedTuple):
     name: str
     inverse: bool
     power: IndexExpr | None
@@ -140,8 +136,7 @@ class EName:
         return out
 
 
-@dataclass(frozen=True)
-class EConj:
+class EConj(NamedTuple):
     body: "WordExpr"
     by: "WordExpr"
 
@@ -149,16 +144,14 @@ class EConj:
         return f"CONJ({self.body.text()}, {self.by.text()})"
 
 
-@dataclass(frozen=True)
-class EInv:
+class EInv(NamedTuple):
     body: "WordExpr"
 
     def text(self) -> str:
         return f"INV({self.body.text()})"
 
 
-@dataclass(frozen=True)
-class EGroup:
+class EGroup(NamedTuple):
     body: "WordExpr"
     inverse: bool
     power: IndexExpr | None
@@ -170,14 +163,14 @@ class EGroup:
         return out
 
 
-@dataclass(frozen=True)
-class EId:
+class EId(Frozen):
+    __slots__ = ()
+
     def text(self) -> str:
         return "ID"
 
 
-@dataclass(frozen=True)
-class ESeq:
+class ESeq(NamedTuple):
     parts: tuple["WordExpr", ...]
 
     def text(self) -> str:
@@ -191,8 +184,7 @@ WordExpr = ECurve | EShift | EName | EConj | EInv | EGroup | EId | ESeq
 # statements and scripts
 
 
-@dataclass(frozen=True)
-class PermSpec:
+class PermSpec(NamedTuple):
     kind: str  # "ncycle" | "identity" | "cycles"
     cycles: tuple[tuple[int, ...], ...] = ()
 
@@ -204,8 +196,7 @@ class PermSpec:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
 
 
-@dataclass(frozen=True)
-class SLet:
+class SLet(NamedTuple):
     line: int
     name: str
     expr: WordExpr
@@ -214,8 +205,7 @@ class SLet:
         return f"LET {self.name} = {self.expr.text()}"
 
 
-@dataclass(frozen=True)
-class SAssertEq:
+class SAssertEq(NamedTuple):
     line: int
     left: WordExpr
     right: WordExpr
@@ -224,8 +214,7 @@ class SAssertEq:
         return f"ASSERT_EQ {self.left.text()} = {self.right.text()}"
 
 
-@dataclass(frozen=True)
-class SAssertInvolution:
+class SAssertInvolution(NamedTuple):
     line: int
     expr: WordExpr
 
@@ -233,8 +222,7 @@ class SAssertInvolution:
         return f"ASSERT_INVOLUTION {self.expr.text()}"
 
 
-@dataclass(frozen=True)
-class SAssertProjection:
+class SAssertProjection(NamedTuple):
     line: int
     expr: WordExpr
     perm: PermSpec
@@ -243,8 +231,7 @@ class SAssertProjection:
         return f"ASSERT_PROJECTION {self.expr.text()} = {self.perm.text()}"
 
 
-@dataclass(frozen=True)
-class SGoalset:
+class SGoalset(NamedTuple):
     line: int
     goals: tuple[WordExpr, ...]
 
@@ -255,8 +242,7 @@ class SGoalset:
 Statement = SLet | SAssertEq | SAssertInvolution | SAssertProjection | SGoalset
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     defaults: tuple[int, ...]
     parity: str | None = None  # "odd" | "even"
     minimum: int | None = None
@@ -283,8 +269,7 @@ class ParamSpec:
         return out
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(NamedTuple):
     kind: str
     param: ParamSpec | None
     conventions: str | None
@@ -315,20 +300,15 @@ class ProofScript:
         return self.param.default if self.param else 17
 
     def key(self) -> tuple:
-        """Structural identity, ignoring line numbers (round-trip checks)."""
-
-        def strip(s: Statement):
-            d = s.__dict__.copy()
-            d.pop("line", None)
-            return (type(s).__name__, tuple(sorted(d.items(), key=lambda kv: kv[0], reverse=False)))
-
+        """Structural identity, ignoring line numbers (round-trip checks):
+        each statement as its type and the fields after its ``line``."""
         return (
             self.kind,
             self.param,
             self.conventions,
             self.budget,
             self.title,
-            tuple(strip(s) for s in self.statements),
+            tuple((type(s).__name__, s[1:]) for s in self.statements),
         )
 
 
@@ -718,12 +698,14 @@ def read_word(text: str, model: SurfaceModel) -> Word:
 # evaluation
 
 
-@dataclass
-class EvalContext:
-    model: SurfaceModel
-    n: int
-    env: dict[str, Word] = field(default_factory=dict)
-    failed: dict[str, int] = field(default_factory=dict)  # LET name -> line, when its binding failed
+class EvalContext(Record):
+    __slots__ = _fields = ("model", "n", "env", "failed")
+
+    def __init__(self, model: SurfaceModel, n: int, env: dict[str, Word] | None = None, failed: dict | None = None):
+        self.model = model
+        self.n = n
+        self.env = {} if env is None else env
+        self.failed = {} if failed is None else failed  # LET name -> line, when its binding failed
 
 
 def eval_word(expr: WordExpr, ctx: EvalContext) -> Word:

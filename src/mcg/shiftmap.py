@@ -16,24 +16,33 @@ are checked with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import McgError
+from .records import Frozen, set_slot
 
 Rational = Fraction | int
 _HALF = Fraction(1, 2)
 SAMPLES = 24  # the rows checked are y = k / SAMPLES for |k| <= SAMPLES
 
 
-@dataclass(frozen=True)
-class StripPoint:
-    x: Fraction
-    y: Fraction
+class StripPoint(Frozen):
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if abs(self.y) > 1:
-            raise McgError(f"point ({self.x}, {self.y}) lies outside the strip")
+    def __init__(self, x: Fraction, y: Fraction):
+        if abs(y.numerator) > y.denominator:  # |y| > 1, in integers
+            raise McgError(f"point ({x}, {y}) lies outside the strip")
+        set_slot(self, "x", x)
+        set_slot(self, "y", y)
+
+    @staticmethod
+    def _raw(x: Fraction, y: Fraction) -> "StripPoint":
+        """Skip the strip check for a ``y`` known to lie in the strip."""
+        p = object.__new__(StripPoint)
+        set_slot(p, "x", x)
+        set_slot(p, "y", y)
+        return p
 
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -44,16 +53,15 @@ def strip_point(x: Rational, y: Rational) -> StripPoint:
 
 
 def handle_shift_point(p: StripPoint) -> StripPoint:
-    """One application of the shift, exact on rationals."""
+    """One application of the shift, exact on rationals; the image keeps the row of ``p``."""
     if -_HALF <= p.y <= _HALF:
-        return StripPoint(p.x + 1, p.y)
+        return StripPoint._raw(p.x + 1, p.y)
     if p.y > _HALF:
-        return StripPoint(p.x + 2 - 2 * p.y, p.y)
-    return StripPoint(p.x + 2 + 2 * p.y, p.y)
+        return StripPoint._raw(p.x + 2 - 2 * p.y, p.y)
+    return StripPoint._raw(p.x + 2 + 2 * p.y, p.y)
 
 
-@dataclass(frozen=True)
-class ShiftCheckReport:
+class ShiftCheckReport(NamedTuple):
     checks_run: int
     findings: tuple[str, ...]
 

@@ -17,8 +17,8 @@ kernel ``_push`` takes, and the sign self test runs ``_push`` itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .homology import Key, TruncatedBasis, _mates, _Relabel, _transvect, key_tuple, pairing, verify_identity_homology
 from .models import SurfaceModel
@@ -26,8 +26,7 @@ from .rewrite import equivalent
 from .words import Letter, Shift, Sym, Twist, Word, word
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     name: str
     checked: int
     degenerate_pairs: int

@@ -12,16 +12,18 @@ letters of different types never compare equal, since their labels differ
 (a curve label, a shift label, a symmetry name). A ``Sym`` equals its
 ``(name, exp)`` pair, the form of a model-file alias letter. ``power`` builds
 ``X^k`` for scripts and aliases alike, each checking ``MAX_LETTERS`` first.
+A ``Word`` is a slotted ``records.Frozen``, not a tuple: it compares by its
+model's identity and its letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from .errors import ModelMismatch
 from .labels import CurveLabel, ShiftLabel
 from .models import SurfaceModel
+from .records import Frozen, set_slot
 
 
 class Twist(NamedTuple):
@@ -43,12 +45,14 @@ Letter = Union[Twist, Shift, Sym]
 MAX_LETTERS = 10_000  # longest word a script or a model-file alias builds
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
+class Word(Frozen):
     """An immutable word over one model. Equality is syntactic."""
 
-    model: SurfaceModel
-    letters: tuple[Letter, ...]
+    __slots__ = _fields = ("model", "letters")
+
+    def __init__(self, model: SurfaceModel, letters: tuple[Letter, ...]):
+        set_slot(self, "model", model)
+        set_slot(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import mcg
 from mcg.cli import main
 from mcg.modelfile import builtin_model_text
 
@@ -435,3 +439,21 @@ def test_empty_command_line_word_points_past_its_end(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: line 1, col 1: empty word (use ID for the identity)\n"
+
+
+def test_cli_imports_only_what_its_subcommand_runs():
+    # a fresh interpreter: importing the CLI loads no dataclasses, and verify
+    # loads neither the sweeps nor the shift map, nor fractions or csv
+    src = str(Path(mcg.__file__).parent.parent)
+    code = (
+        "import sys, mcg.cli\n"
+        "if 'dataclasses' in sys.modules: sys.exit('import mcg.cli loaded dataclasses')\n"
+        "mcg.cli.main(['verify', 'thmC', '--quiet'])\n"
+        "loaded = sorted({'mcg.sweeps', 'mcg.shiftmap', 'fractions', 'csv'} & set(sys.modules))\n"
+        "sys.exit(f'verify loaded {loaded}' if loaded else 0)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("OVERALL PASS\n")

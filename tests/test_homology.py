@@ -5,7 +5,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -227,7 +226,7 @@ def test_symmetry_matrix_involution_and_rotation_order(sn16):
 
 
 def test_symmetry_conjugates_twist_matrix(sn17):
-    model = replace(sn17, aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
+    model = sn17.replace(aliases={"rho3": (("R", 4), ("rho1", 1), ("R", -4))})
     basis = TruncatedBasis(model, 3)
     got = word_matrix(basis, W(model, Sym("rho3", 1), tw(sn17, "A", 1, 1), Sym("rho3", 1)))
     image = word_matrix(basis, W(model, tw(sn17, "Ap", 1, 9)))

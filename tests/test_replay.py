@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
@@ -360,7 +359,7 @@ def test_rows_are_uniform_in_n():
 
 
 def without_minimum(script):
-    return dataclasses.replace(script, param=dataclasses.replace(script.param, minimum=None))
+    return script._replace(param=script.param._replace(minimum=None))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -215,7 +214,7 @@ def test_statement_errors_point_at_an_indented_keyword():
 def test_names_without_a_value_name_the_model(sn17):
     # a name the parser accepts (a primitive, or a LET whose evaluation
     # failed) but the model or the bindings cannot resolve
-    model = replace(sn17, symmetries={k: v for k, v in sn17.symmetries.items() if k != "tau"})
+    model = sn17.replace(symmetries={k: v for k, v in sn17.symmetries.items() if k != "tau"})
     s = parse(HEADER + "ASSERT_EQ tau = ID\n")
     with pytest.raises(McgError, match=r"^name 'tau' has no value in the S\(17\) model$"):
         eval_word(s.statements[0].left, EvalContext(model, 17))
@@ -365,7 +364,7 @@ def _expressions(kind):
 
 
 def _contexts(sn17, jacob):
-    sn = replace(sn17, aliases={"rho3": (Sym("R", 4), Sym("rho1", 1), Sym("R", -4))})
+    sn = sn17.replace(aliases={"rho3": (Sym("R", 4), Sym("rho1", 1), Sym("R", -4))})
     f = parse(HEADER + "LET F = A[1] h[2,5] R~ B~[2,3] rho1^3\n").statements[0].expr
     jf = parse("MODEL jacob\nLET F = A[1] tau1 B~[-2] H^2\n").statements[0].expr
     return {
