@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from .errors import McgError
-from .records import Frozen, set_slot
+from .records import Frozen
 from .words import Sym, Word
 
 
@@ -31,18 +31,10 @@ class Permutation(Frozen):
 
     __slots__ = _fields = ("images",)
 
-    def __init__(self, images: tuple[int, ...]):
+    def __new__(cls, images: tuple[int, ...]):
         if sorted(images) != list(range(1, len(images) + 1)):
             raise McgError(f"not a permutation of 1..{len(images)}: {images}")
-        set_slot(self, "images", images)
-
-    @staticmethod
-    def _raw(images: tuple[int, ...]) -> "Permutation":
-        """Skip validation for images known to be permutations (products,
-        inverses of validated ones)."""
-        p = object.__new__(Permutation)
-        set_slot(p, "images", images)
-        return p
+        return cls._raw(images)
 
     @staticmethod
     def identity(n: int) -> "Permutation":

@@ -31,6 +31,15 @@ class Frozen(Record):
     def __hash__(self) -> int:
         return hash(self._astuple())
 
+    @classmethod
+    def _raw(cls, *values):
+        """An instance with its fields set to ``values``, unchecked: for
+        values known to pass the constructor's checks."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            set_slot(record, name, value)
+        return record
+
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return type(self), self._astuple()
 

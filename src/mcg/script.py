@@ -301,14 +301,15 @@ class ProofScript(NamedTuple):
 
     def key(self) -> tuple:
         """Structural identity, ignoring line numbers (round-trip checks):
-        each statement as its type and the fields after its ``line``."""
+        each statement's repr at line 0, which names every nested node's
+        type, so nodes of different types never match as plain tuples."""
         return (
             self.kind,
             self.param,
             self.conventions,
             self.budget,
             self.title,
-            tuple((type(s).__name__, s[1:]) for s in self.statements),
+            tuple(repr(s._replace(line=0)) for s in self.statements),
         )
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import McgError
-from .records import Frozen, set_slot
+from .records import Frozen
 
 Rational = Fraction | int
 _HALF = Fraction(1, 2)
@@ -30,19 +30,10 @@ SAMPLES = 24  # the rows checked are y = k / SAMPLES for |k| <= SAMPLES
 class StripPoint(Frozen):
     __slots__ = _fields = ("x", "y")
 
-    def __init__(self, x: Fraction, y: Fraction):
+    def __new__(cls, x: Fraction, y: Fraction):
         if abs(y.numerator) > y.denominator:  # |y| > 1, in integers
             raise McgError(f"point ({x}, {y}) lies outside the strip")
-        set_slot(self, "x", x)
-        set_slot(self, "y", y)
-
-    @staticmethod
-    def _raw(x: Fraction, y: Fraction) -> "StripPoint":
-        """Skip the strip check for a ``y`` known to lie in the strip."""
-        p = object.__new__(StripPoint)
-        set_slot(p, "x", x)
-        set_slot(p, "y", y)
-        return p
+        return cls._raw(x, y)
 
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"

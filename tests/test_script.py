@@ -107,6 +107,15 @@ def test_round_trip_shipped_scripts():
         assert s1.text() == s2.text()
 
 
+def test_key_tells_nested_node_types_apart():
+    # INV(CONJ(X, R)) and X R hold the same values, nested differently
+    inv = parse(HEADER + "LET X = A[1]\nLET F = INV(CONJ(X, R))\n")
+    seq = parse(HEADER + "LET X = A[1]\nLET F = X R\n")
+    assert inv.statements[1].expr == seq.statements[1].expr
+    assert inv.key() != seq.key()
+    assert inv.key() == parse(inv.text()).key()
+
+
 def test_round_trip_preserves_statement_count():
     text = resources.files("mcg.data.scripts").joinpath("thmA.mcg").read_text()
     s = parse(text, "thmA")
