@@ -6,7 +6,8 @@ names its fields in ``_fields``, in constructor order, and keeps them in
 ``__slots__`` before any memo slot. Its repr is ``Name(field=value, ...)``,
 records of one type compare by their field tuples, and a plain ``Record`` is
 unhashable. A ``Frozen`` record hashes as its field tuple and refuses
-assignment: its constructor sets each slot with ``set_slot``."""
+assignment: its constructor sets each slot with ``set_slot``, or checks its
+values and builds the record with ``_raw``."""
 
 set_slot = object.__setattr__
 
