@@ -1,4 +1,5 @@
 import hashlib
+import json
 from importlib import resources
 
 import pytest
@@ -24,6 +25,7 @@ from mcg.script import (
     parse,
 )
 from mcg.words import MAX_LETTERS, Shift, Sym, Twist, Word, invert, word
+from parse_digest import COMMITTED, parse_digest
 
 HEADER = f"MODEL sn\nPARAM n DEFAULT 17\nCONVENTIONS {CONVENTIONS_ID}\n"
 
@@ -189,6 +191,13 @@ def test_overlong_decimal_is_positioned():
             parse(HEADER + stmt + "\n")
         assert (err.value.line, err.value.column) == (4, col)
         assert "-digit number is too long to read" in str(err.value)
+
+
+def test_parse_outcomes_match_the_committed_digest():
+    # 2,000 seeded mutations of the shipped scripts: any change to a parsed
+    # script's key or lines, or to an error's class, message, line or
+    # column, changes the digest
+    assert parse_digest() == json.loads(COMMITTED.read_text(encoding="utf-8"))
 
 
 def test_end_of_statement_is_the_column_past_its_last_character():
