@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from typing import NamedTuple
-from .errors import InvalidLabel, McgError, ParseError, Redefinition, UndefinedName
+from .errors import InvalidLabel, McgError, ParseError, Redefinition, ScriptError, UndefinedName
 from .labels import family_parse, family_print
 from .models import SurfaceModel
 from .records import Frozen, Record
@@ -317,24 +317,14 @@ class ProofScript(NamedTuple):
 # tokenizer
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<curve>(?:A'|A|B|C)~?\[)
-      | (?P<shift>h~?\[)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*~?)
-      | (?P<int>\d+)
-      | (?P<sym>[\[\](){},;=~^+\-*/])
-      | (?P<ws>\s+)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+# curve and shift openers, names, decimal numbers, then any other single
+# character: a symbol, or a character no token may hold
+_TOKEN_RE = re.compile(r"(?:A'?|[BCh])~?\[|[A-Za-z_][A-Za-z0-9_]*~?|\d+|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SYMBOLS = frozenset("[](){},;=~^+-*/")
+_WORD_END = frozenset({None, ")", ","})  # None: past the last token
+_LEFT_END = _WORD_END | {"="}
+_GOAL_END = _WORD_END | {";", "}"}
 
 
 def _decimal(text: str, line: int, col: int) -> int:
@@ -346,50 +336,57 @@ def _decimal(text: str, line: int, col: int) -> int:
         raise ParseError(f"a {len(text)}-digit number is too long to read", line, col) from None
 
 
-def _tokenize(text: str, line: int, col0: int = 0) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        value, col = m.group(), col0 + m.start() + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, col)
-        if kind == "int":
-            _decimal(value, line, col)  # later int() calls on the token are safe
-        out.append(Token(kind, value, line, col))
-    return out
-
-
 class _TokenStream:
-    def __init__(self, tokens: list[Token], line: int, end: int):
-        self.tokens = tokens
+    """The tokens of one statement's ``text``, whose first character sits at
+    0-based column ``col0``, as plain strings ending in a ``None`` sentinel.
+    A token's kind is read off its first character: an opener ends in ``[``,
+    a name starts with a letter or ``_``, a number with a decimal digit."""
+
+    __slots__ = ("toks", "i", "text", "line", "col0")
+
+    def __init__(self, text: str, line: int, col0: int):
+        self.toks: list[str | None] = _TOKEN_RE.findall(text)
         self.i = 0
+        self.text = text
         self.line = line
-        self.end = end  # the column just past the statement's last character
+        self.col0 = col0
+        for j, tok in enumerate(self.toks):
+            c = tok[0]
+            if c in _NAME_START or c in _SYMBOLS:
+                continue
+            if not c.isdecimal():
+                raise ParseError(f"unexpected character {tok!r}", line, self.col(j))
+            try:
+                int(tok)  # later int() calls on the token are safe
+            except ValueError:
+                _decimal(tok, line, self.col(j))
+        self.toks.append(None)
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def col(self, j: int) -> int:
+        """The 1-based column of token ``j``; of the sentinel, the column just
+        past the statement's last character. Only whitespace lies between
+        tokens, so each token is the next match of its text."""
+        if self.toks[j] is None:
+            return self.col0 + len(self.text) + 1
+        pos = 0
+        for tok in self.toks[:j]:
+            pos = self.text.index(tok, pos) + len(tok)
+        return self.col0 + self.text.index(self.toks[j], pos) + 1
 
-    def next(self) -> Token:
-        tok = self.peek()
+    def error(self, message: str, j: int, cls: type[ScriptError] = ParseError) -> ScriptError:
+        return cls(message, self.line, self.col(j))
+
+    def next(self) -> str:
+        tok = self.toks[self.i]
         if tok is None:
-            raise ParseError("unexpected end of statement", self.line, self.end)
+            raise self.error("unexpected end of statement", self.i)
         self.i += 1
         return tok
 
-    def expect(self, value: str) -> Token:
+    def expect(self, value: str) -> None:
         tok = self.next()
-        if tok.value != value:
-            raise ParseError(f"expected {value!r}, found {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.value == value
-
-    def done(self) -> bool:
-        return self.i >= len(self.tokens)
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok!r}", self.i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +486,11 @@ class _Parser:
             self.statements.append(SLet(line, name, expr))
             return
         if key == "ASSERT_EQ":
-            stream = self._stream(rest, line, rest_col)
-            left = self._parse_word(stream, stop={"="})
-            stream.expect("=")
-            right = self._parse_word(stream, stop=set())
-            self._finish(stream)
+            s = _TokenStream(rest, line, rest_col)
+            left = self._parse_word(s, _LEFT_END)
+            s.expect("=")
+            right = self._parse_word(s, _WORD_END)
+            self._finish(s)
             self.statements.append(SAssertEq(line, left, right))
             return
         if key == "ASSERT_INVOLUTION":
@@ -501,184 +498,162 @@ class _Parser:
             self.statements.append(SAssertInvolution(line, expr))
             return
         if key == "ASSERT_PROJECTION":
-            stream = self._stream(rest, line, rest_col)
-            expr = self._parse_word(stream, stop={"="})
-            stream.expect("=")
-            perm = self._perm_spec(stream)
-            self._finish(stream)
+            s = _TokenStream(rest, line, rest_col)
+            expr = self._parse_word(s, _LEFT_END)
+            s.expect("=")
+            perm = self._perm_spec(s)
+            self._finish(s)
             self.statements.append(SAssertProjection(line, expr, perm))
             return
         if key == "ASSERT_GOALSET":
-            stream = self._stream(rest, line, rest_col)
-            stream.expect("{")
-            goals = [self._parse_word(stream, stop={";", "}"})]
-            while stream.at(";"):
-                stream.next()
-                goals.append(self._parse_word(stream, stop={";", "}"}))
-            stream.expect("}")
-            self._finish(stream)
+            s = _TokenStream(rest, line, rest_col)
+            s.expect("{")
+            goals = [self._parse_word(s, _GOAL_END)]
+            while s.toks[s.i] == ";":
+                s.i += 1
+                goals.append(self._parse_word(s, _GOAL_END))
+            s.expect("}")
+            self._finish(s)
             self.statements.append(SGoalset(line, tuple(goals)))
             return
         raise ParseError(f"unknown statement {head!r}", line, text.index(head) + 1)
 
     # -- word expressions ----------------------------------------------------
 
-    def _stream(self, text: str, line: int, col0: int) -> _TokenStream:
-        return _TokenStream(_tokenize(text, line, col0), line, col0 + len(text) + 1)
-
-    def _finish(self, stream: _TokenStream) -> None:
-        if not stream.done():
-            tok = stream.peek()
-            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+    def _finish(self, s: _TokenStream) -> None:
+        if s.toks[s.i] is not None:
+            raise s.error(f"trailing input {s.toks[s.i]!r}", s.i)
 
     def _word_expr(self, text: str, line: int, col0: int) -> WordExpr:
-        stream = self._stream(text, line, col0)
-        expr = self._parse_word(stream, stop=set())
-        self._finish(stream)
+        s = _TokenStream(text, line, col0)
+        expr = self._parse_word(s, _WORD_END)
+        self._finish(s)
         return expr
 
-    def _parse_word(self, stream: _TokenStream, stop: set[str]) -> WordExpr:
+    def _parse_word(self, s: _TokenStream, stop: frozenset) -> WordExpr:
         parts: list[WordExpr] = []
-        while not stream.done():
-            tok = stream.peek()
-            if tok.value in stop or tok.value in (")", ","):
-                break
-            parts.append(self._parse_atom(stream))
+        while s.toks[s.i] not in stop:
+            parts.append(self._parse_atom(s))
         if not parts:
-            tok = stream.peek()
-            line, col = (tok.line, tok.col) if tok else (stream.line, stream.end)
-            raise ParseError("empty word (use ID for the identity)", line, col)
+            raise s.error("empty word (use ID for the identity)", s.i)
         return parts[0] if len(parts) == 1 else ESeq(tuple(parts))
 
-    def _parse_atom(self, stream: _TokenStream) -> WordExpr:
-        tok = stream.next()
-        if tok.kind == "curve":
-            fam_txt = tok.value.rstrip("[").rstrip("~")
-            inverse = "~" in tok.value
-            indices = [self._parse_index(stream)]
-            if stream.at(","):
-                stream.next()
-                indices.append(self._parse_index(stream))
-            stream.expect("]")
-            return ECurve(family_parse(fam_txt), inverse, tuple(indices))
-        if tok.kind == "shift":
-            inverse = "~" in tok.value
-            e1 = self._parse_index(stream)
-            stream.expect(",")
-            e2 = self._parse_index(stream)
-            stream.expect("]")
-            return EShift(inverse, (e1, e2))
-        if tok.kind == "name":
-            name = tok.value
-            inverse = name.endswith("~")
-            name = name.rstrip("~")
+    def _parse_atom(self, s: _TokenStream) -> WordExpr:
+        tok = s.next()
+        if tok[-1] == "[" and len(tok) > 1:  # a curve or shift opener
+            inverse = tok[-2] == "~"
+            if tok[0] == "h":
+                e1 = self._parse_index(s)
+                s.expect(",")
+                e2 = self._parse_index(s)
+                s.expect("]")
+                return EShift(inverse, (e1, e2))
+            indices = [self._parse_index(s)]
+            if s.toks[s.i] == ",":
+                s.i += 1
+                indices.append(self._parse_index(s))
+            s.expect("]")
+            return ECurve(family_parse(tok[: -2 if inverse else -1]), inverse, tuple(indices))
+        if tok[0] in _NAME_START:
+            inverse = tok[-1] == "~"
+            name = tok[:-1] if inverse else tok
             upper = name.upper()
             if upper == "ID":
                 return EId()
             if upper == "CONJ":
-                stream.expect("(")
-                body = self._parse_word(stream, stop=set())
-                stream.expect(",")
-                by = self._parse_word(stream, stop=set())
-                stream.expect(")")
+                s.expect("(")
+                body = self._parse_word(s, _WORD_END)
+                s.expect(",")
+                by = self._parse_word(s, _WORD_END)
+                s.expect(")")
                 return EConj(body, by)
             if upper == "INV":
-                stream.expect("(")
-                body = self._parse_word(stream, stop=set())
-                stream.expect(")")
+                s.expect("(")
+                body = self._parse_word(s, _WORD_END)
+                s.expect(")")
                 return EInv(body)
             if name not in self.defined:
-                raise UndefinedName(f"name {name!r} is not defined here", tok.line, tok.col)
-            power = self._parse_power(stream)
-            return EName(name, inverse, power)
-        if tok.value == "(":
-            body = self._parse_word(stream, stop=set())
-            stream.expect(")")
-            inverse = False
-            if stream.at("~"):
-                stream.next()
-                inverse = True
-            power = self._parse_power(stream)
-            return EGroup(body, inverse, power)
-        raise ParseError(f"unexpected token {tok.value!r} in word", tok.line, tok.col)
+                raise s.error(f"name {name!r} is not defined here", s.i - 1, UndefinedName)
+            return EName(name, inverse, self._parse_power(s))
+        if tok == "(":
+            body = self._parse_word(s, _WORD_END)
+            s.expect(")")
+            inverse = s.toks[s.i] == "~"
+            if inverse:
+                s.i += 1
+            return EGroup(body, inverse, self._parse_power(s))
+        raise s.error(f"unexpected token {tok!r} in word", s.i - 1)
 
-    def _parse_power(self, stream: _TokenStream) -> IndexExpr | None:
-        if not stream.at("^"):
+    def _parse_power(self, s: _TokenStream) -> IndexExpr | None:
+        if s.toks[s.i] != "^":
             return None
-        stream.next()
-        tok = stream.peek()
-        if tok is not None and tok.value == "(":
-            stream.next()
-            expr = self._parse_index(stream)
-            stream.expect(")")
+        s.i += 1
+        if s.toks[s.i] == "(":
+            s.i += 1
+            expr = self._parse_index(s)
+            s.expect(")")
             return expr
-        if tok is not None and tok.value == "-":
-            stream.next()
-            inner = stream.next()
-            if inner.kind != "int":
-                raise ParseError("expected an integer exponent", inner.line, inner.col)
-            return INum(-int(inner.value))
-        tok = stream.next()
-        if tok.kind != "int":
-            raise ParseError("expected an integer exponent", tok.line, tok.col)
-        return INum(int(tok.value))
+        sign = 1
+        if s.toks[s.i] == "-":
+            s.i += 1
+            sign = -1
+        tok = s.next()
+        if not tok[0].isdecimal():
+            raise s.error("expected an integer exponent", s.i - 1)
+        return INum(sign * int(tok))
 
     # -- index expressions -----------------------------------------------------
 
-    def _parse_index(self, stream: _TokenStream) -> IndexExpr:
-        expr = self._parse_index_term(stream)
-        while stream.at("+") or stream.at("-"):
-            op = stream.next().value
-            expr = IOp(op, expr, self._parse_index_term(stream))
+    def _parse_index(self, s: _TokenStream) -> IndexExpr:
+        expr = self._parse_index_term(s)
+        while s.toks[s.i] in ("+", "-"):
+            op = s.next()
+            expr = IOp(op, expr, self._parse_index_term(s))
         return expr
 
-    def _parse_index_term(self, stream: _TokenStream) -> IndexExpr:
-        expr = self._parse_index_factor(stream)
-        while stream.at("*") or stream.at("/"):
-            op = stream.next().value
-            expr = IOp(op, expr, self._parse_index_factor(stream))
+    def _parse_index_term(self, s: _TokenStream) -> IndexExpr:
+        expr = self._parse_index_factor(s)
+        while s.toks[s.i] in ("*", "/"):
+            op = s.next()
+            expr = IOp(op, expr, self._parse_index_factor(s))
         return expr
 
-    def _parse_index_factor(self, stream: _TokenStream) -> IndexExpr:
-        tok = stream.next()
-        if tok.value == "-":
-            inner = self._parse_index_factor(stream)
-            return IOp("-", INum(0), inner)
-        if tok.value == "(":
-            expr = self._parse_index(stream)
-            stream.expect(")")
+    def _parse_index_factor(self, s: _TokenStream) -> IndexExpr:
+        tok = s.next()
+        if tok[0].isdecimal():
+            return INum(int(tok))
+        if tok == "-":
+            return IOp("-", INum(0), self._parse_index_factor(s))
+        if tok == "(":
+            expr = self._parse_index(s)
+            s.expect(")")
             return expr
-        if tok.kind == "int":
-            return INum(int(tok.value))
-        if tok.value == "n":
+        if tok == "n":
             return IVar()
-        raise ParseError(f"unexpected token {tok.value!r} in an index", tok.line, tok.col)
+        raise s.error(f"unexpected token {tok!r} in an index", s.i - 1)
 
-    def _perm_spec(self, stream: _TokenStream) -> PermSpec:
-        tok = stream.peek()
-        if tok is not None and tok.kind == "name":
-            stream.next()
-            word_ = tok.value.lower()
-            if word_ in ("ncycle", "identity"):
-                return PermSpec(word_)
-            raise ParseError(f"unknown permutation spec {tok.value!r}", tok.line, tok.col)
+    def _perm_spec(self, s: _TokenStream) -> PermSpec:
+        tok = s.toks[s.i]
+        if tok is not None and tok[0] in _NAME_START and tok[-1] != "[":
+            s.i += 1
+            if tok.lower() in ("ncycle", "identity"):
+                return PermSpec(tok.lower())
+            raise s.error(f"unknown permutation spec {tok!r}", s.i - 1)
         cycles: list[tuple[int, ...]] = []
-        while stream.at("("):
-            stream.next()
+        while s.toks[s.i] == "(":
+            s.i += 1
             elems: list[int] = []
-            while not stream.at(")"):
-                t = stream.next()
-                if t.kind != "int":
-                    raise ParseError("cycle entries must be integers", t.line, t.col)
-                elems.append(int(t.value))
-            stream.expect(")")
+            while s.toks[s.i] != ")":
+                t = s.next()
+                if not t[0].isdecimal():
+                    raise s.error("cycle entries must be integers", s.i - 1)
+                elems.append(int(t))
+            s.expect(")")
             if elems:
                 cycles.append(tuple(elems))
-        if not cycles and not stream.done():
-            tok = stream.peek()
-            raise ParseError(f"bad permutation spec near {tok.value!r}", tok.line, tok.col)
+        if not cycles and s.toks[s.i] is not None:
+            raise s.error(f"bad permutation spec near {s.toks[s.i]!r}", s.i)
         return PermSpec("identity") if not cycles else PermSpec("cycles", tuple(cycles))
-
 
 def parse(text: str, path: str = "<script>") -> ProofScript:
     return _Parser(text, path).parse()

@@ -1,7 +1,7 @@
 """Value semantics of the package's records. The tuple-backed types (labels,
-letters, automorphisms, parser tokens, script nodes, verdicts and reports)
-hash as their field tuples, refuse assignment, keep their printed forms and
-order as their field tuples within one type. The slotted records keep the
+letters, automorphisms, script nodes, verdicts and reports) hash as their
+field tuples, refuse assignment, keep their printed forms and order as their
+field tuples within one type. The slotted records keep the
 semantics of the frozen and mutable dataclasses they replaced."""
 
 import copy
@@ -39,7 +39,6 @@ from mcg.script import (
     SAssertProjection,
     SGoalset,
     SLet,
-    Token,
 )
 from mcg.shiftmap import ShiftCheckReport, StripPoint, strip_point
 from mcg.sweeps import SweepReport
@@ -103,7 +102,6 @@ VALUES = [
     Shift(H, 1),
     Sym("rho1", -2),
     Automorphism("sn", 17, -1, 2, True),
-    Token("curve", "A[", 4, 9),
     *RECORDS,
 ]
 assert len(RECORDS) == 31  # no two records above are equal
@@ -138,7 +136,6 @@ def test_printed_forms_are_unchanged():
     assert repr(Shift(H, 1)) == "Shift(label=h[1,2], exp=1)"
     assert repr(Sym("rho1", -2)) == "Sym(name='rho1', exp=-2)"
     assert repr(Automorphism("sn", 17, -1, 2, True)) == "Automorphism(kind='sn', n=17, u=-1, v=2, swap=True)"
-    assert repr(Token("curve", "A[", 4, 9)) == "Token(kind='curve', value='A[', line=4, col=9)"
     for x, text in RECORDS.items():
         assert repr(x).replace(repr(JACOB), "<jacob>") == text
     assert repr(WORD) == "Word(A[1])"
