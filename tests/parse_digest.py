@@ -27,7 +27,7 @@ from mcg.errors import McgError, ScriptError
 from mcg.script import parse
 
 MUTATIONS = 2000
-ALPHABET = "0123456789 \n#[](){},;=~^+-*/ABCHhn'" + "\t²٣é$_"
+ALPHABET = "0123456789 \n#[](){},;=~^+-*/ABCHhn'\t²٣é$_"
 HERE = Path(__file__).resolve().parent
 COMMITTED = HERE / "data" / "parse-digest.json"
 

@@ -30,7 +30,10 @@ def _texts(folder: str, suffix: str) -> dict[str, str]:
 
 SCRIPTS = _texts("scripts", ".mcg")
 MODELS = _texts("models", ".model")
-ALPHABET = "0123456789 \n#[](){},;=~^+-*/ABCHhn'"
+# a tab, a digit str.isdigit accepts but int() cannot read, a non-ASCII
+# decimal digit, a non-ASCII letter, a character no token holds, and the
+# underscore names may hold
+ALPHABET = "0123456789 \n#[](){},;=~^+-*/ABCHhn'\t²٣é$_"
 
 
 @st.composite
