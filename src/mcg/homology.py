@@ -458,7 +458,8 @@ def verify_identity_homology(w1: Word, w2: Word, window: int | None = None) -> H
     stopped = [p for p in (p1, p2) if p.error]
     if stopped:
         # the error of the first start in basis order that was live at one
-        return HomologyResult("Inconclusive", str(min(stopped, key=lambda p: _first_start(starts, p.dead)).error))
+        error = min(stopped, key=lambda p: _first_start(starts, p.dead)).error
+        return HomologyResult("Inconclusive", str(error), 0, checked)
     dead = p1.dead | p2.dead
     touched = (p1.cols.keys() | p2.cols.keys()) - dead
     if p1 is p2:

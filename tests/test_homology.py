@@ -410,7 +410,7 @@ def _reference_verify(w1, w2, window):
                 witness = f"{basis.key_label(key)} maps to {_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
                 return HomologyResult("Refuted", witness, valid, len(keys))
     except UndefinedSymmetry as e:
-        return HomologyResult("Inconclusive", str(e))
+        return HomologyResult("Inconclusive", str(e), 0, len(keys))
     if not valid:
         return HomologyResult("Inconclusive", "empty valid subspace", 0, len(keys))
     return HomologyResult("Consistent", "", valid, len(keys))
@@ -507,7 +507,7 @@ def test_symmetry_error_fires_on_a_column_masked_on_the_other_side(sn17):
     left = word(sn17, [Sym("Q", 1), Shift(h, 1)])
     right = W(sn17, Sym("tau", 1))
     res = verify_identity_homology(left, right, 6)
-    assert str(res) == f"Inconclusive(0/0 columns) [{tau.value}]"
+    assert str(res) == f"Inconclusive(0/102 columns) [{tau.value}]"
     assert str(res) == str(_reference_verify(left, right, 6))
 
 
@@ -517,7 +517,7 @@ def test_symmetry_without_label_action_is_inconclusive(sn17):
     w = W(sn17, tw(sn17, "A", 1, 1), Sym("tau", 1), tw(sn17, "B", 1, 2))
     res = verify_identity_homology(w, Word(sn17, ()), 6)
     assert res.status == "Inconclusive"
-    assert str(res) == f"Inconclusive(0/0 columns) [{exc.value}]"
+    assert str(res) == f"Inconclusive(0/136 columns) [{exc.value}]"
     with pytest.raises(UndefinedSymmetry, match=re.escape(str(exc.value))):
         word_matrix(TruncatedBasis(sn17, 3), w)
 
