@@ -359,7 +359,7 @@ class _TokenStream:
             try:
                 int(tok)  # later int() calls on the token are safe
             except ValueError:
-                _decimal(tok, line, self.col(j))
+                _decimal(tok, line, self.col(j))  # raises, at the token's column
         self.toks.append(None)
 
     def col(self, j: int) -> int:
