@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import McgError, decode_utf8
 from .modelfile import load_model, parse_model_file
+from .models import SurfaceModel
 from .script import CONVENTIONS_TEXT, ProofScript, parse, read_word
 
 BUILTIN_SCRIPTS = ("thmA", "thmB", "thmC", "thmD")
@@ -155,9 +156,18 @@ def cmd_shiftmap(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _word_model(args: argparse.Namespace) -> SurfaceModel:
+    """The model a command-line word is read in: ``--n`` defaults to 17 on
+    sn, and a chain model, which fixes its own n, rejects any other."""
+    model = load_model(args.model, 17 if args.n is None and args.model == "sn" else args.n)
+    if args.n is not None and args.n != model.n:
+        raise McgError(f"the {model.describe()} model has n={model.n}, not {args.n}")
+    return model
+
+
 def cmd_project(args: argparse.Namespace) -> int:
     from .permgroup import project
-    print(project(read_word(args.word, load_model(args.model, args.n))).cycle_notation())
+    print(project(read_word(args.word, _word_model(args))).cycle_notation())
     return 0
 
 
@@ -165,7 +175,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     from .homology import TruncatedBasis, word_matrix
     from .rewrite import DEFAULT_BUDGET, normalize
     budget = _budget(args.budget)
-    w = read_word(args.word, load_model(args.model, args.n))
+    w = read_word(args.word, _word_model(args))
     # a bad --matrix-window fails before anything is printed
     basis = TruncatedBasis(w.model, args.matrix_window) if args.matrix else None
     res = normalize(w, DEFAULT_BUDGET if budget is None else budget)
@@ -216,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="print the image of a word in Sym_n")
     p.add_argument("word")
     p.add_argument("--model", choices=("sn", "jacob", "lochness"), default="sn")
-    p.add_argument("--n", type=int, default=17)
+    p.add_argument("--n", type=int, default=None, help="end count on sn (default 17); a chain model fixes its own")
     p.set_defaults(func=cmd_project)
 
     nrm = sub.add_parser("normalize", help="print the canonical form of a word")
     nrm.add_argument("word")
     nrm.add_argument("--model", choices=("sn", "jacob", "lochness"), default="sn")
-    nrm.add_argument("--n", type=int, default=17)
+    nrm.add_argument("--n", type=int, default=None, help="end count on sn (default 17); a chain model fixes its own")
     nrm.add_argument("--budget", type=int, default=None, help="rewrite applications (default: MCG_BUDGET, then 100000)")
     nrm.add_argument("--trace", action="store_true", help="print the rewrite trace")
     nrm.add_argument("--matrix", action="store_true", help="print the homology matrix grid")

@@ -18,12 +18,13 @@ A right-handed twist about a curve with class c acts as the transvection
 Prop. 6.3), one step, ``_transvect``, for the kernel and the sweeps. The
 braid identity holds for either sign, so the self test pins the sign
 itself: the twist about A[1] sends b_1 to b_1 - a_1. Symmetries act by
-permuting basis positions, and handle shifts translate one or two strands
-by a genus step. Every image is exact at every genus and index. The one
-mask is the crossing: a shift carries its repelling end's first handle
-across the central region, where the label system gives it no image, so a
-column holding that handle is masked. ``Consistent`` is a necessary
-condition, not a proof.
+permuting basis positions, and handle shifts translate two strands by a
+genus step. A shift carries its repelling end's first handle across the
+central region onto the attracting end's first handle, with sign +1 on
+both its classes: the sign under which h[j,j+1] C[0,j] h~[j,j+1] =
+C[1,j+1], as the curves are. Every image is exact at every genus and
+index, and no column is masked. ``Consistent`` is a necessary condition,
+not a proof.
 
 This module owns the window, which bounds only which columns are compared.
 Without one, the oracle compares a pair up to its own displacement bound,
@@ -40,8 +41,10 @@ live column is the unit vector at its own start key, and its row entry is
 implicit. Symmetry and shift letters compose into one pending relabel, the
 end or index map of an ``Automorphism`` plus, on ``sn``, a genus offset per
 end for the shifts. A twist pulls its class back through that relabel and
-pairs only the columns holding the mates of its keys; a shift looks up its
-two crossing keys in the row index. Images are built on demand.
+pairs only the columns holding the mates of its keys; a shift looks up the
+two keys that cross in the row index and re-keys their entries, so a start
+key at genus 0 or below is a key like any other. Images are built on
+demand.
 
 A basis class is one integer key, ``(position << 1) | kind``: ``kind`` is 0
 for ``a`` and 1 for ``b``, and ``position`` is ``genus * n + end - 1`` on
@@ -266,35 +269,25 @@ class _Relabel:
 class _Pushed(Record):
     """A word applied to the unit start columns, kept lazily.
 
-    ``cols`` holds, in start coordinates, the columns a twist has changed;
-    every other start outside ``dead`` (the columns a shift carried across
-    the central region) is still its own unit vector. ``relabel`` carries
-    start coordinates to the image's.
-    ``error`` is set when live columns reached a symmetry without a label
-    action; the word stopped there and each of them maps to that error.
+    ``cols`` holds, in start coordinates, the columns a twist or a crossing
+    has changed; every other start is still its own unit vector.
+    ``relabel`` carries start coordinates to the image's.
+    ``error`` is set when the word reached a symmetry without a label
+    action; the word stopped there and every column maps to that error.
     """
 
-    __slots__ = _fields = ("cols", "dead", "relabel", "error")
+    __slots__ = _fields = ("cols", "relabel", "error")
 
-    def __init__(self, cols: dict[Key, Vec], dead: set[Key], relabel: _Relabel, error: UndefinedSymmetry | None):
-        self.cols, self.dead, self.relabel, self.error = cols, dead, relabel, error
+    def __init__(self, cols: dict[Key, Vec], relabel: _Relabel, error: UndefinedSymmetry | None):
+        self.cols, self.relabel, self.error = cols, relabel, error
 
     def stored(self, start: Key) -> Vec:
         return self.cols.get(start) or {start: 1}
 
-    def image(self, start: Key) -> Vec | None:
-        """The column at ``start`` in current coordinates; None when masked."""
-        if start in self.dead:
-            return None
+    def image(self, start: Key) -> Vec:
+        """The column at ``start`` in current coordinates."""
         move = self.relabel.forward
         return {move(k): c for k, c in self.stored(start).items()}
-
-
-def _crossing(model: SurfaceModel, repel: int) -> tuple[Key, ...]:
-    """The keys, in current coordinates, that a shift with repelling end
-    ``repel`` carries across the central region: that end's first handle."""
-    a = key_of(model, "a", repel, 1)
-    return a, a ^ 1
 
 
 def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
@@ -302,16 +295,15 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
     at once, exactly at every genus and index.
 
     A twist changes only the columns that pair with its class; symmetry and
-    shift letters compose into the pending relabel. The only mask is the
-    crossing: a shift masks the columns holding the ``_crossing`` keys,
-    found through the row index.
+    shift letters compose into the pending relabel. A shift also carries its
+    repelling end's first handle across the central region to the attracting
+    end's first handle: the columns holding that handle, found through the
+    row index, have those entries re-keyed.
     """
     model = basis.model
     live = basis.span
     cols: dict[Key, Vec] = {}
     rows: defaultdict[Key, set[Key]] = defaultdict(set)  # start-coordinate key -> stored columns nonzero there
-    dead: set[Key] = set()
-    count = basis.size()
     relabel = _Relabel(model)
 
     def holders(key: Key, found: set[Key]) -> None:
@@ -319,12 +311,10 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
         held = rows.get(key)
         if held:
             found |= held
-        if key not in cols and key not in dead and key in live:
+        if key not in cols and key in live:
             found.add(key)  # an untouched live start
 
     for g in reversed(letters):
-        if len(dead) == count:
-            break
         t = type(g)
         if t is Twist:
             cls, mates = _class_entry(model, g.label)
@@ -353,21 +343,24 @@ def _push(basis: TruncatedBasis, letters: Sequence[Letter]) -> _Pushed:
         elif t is Shift:
             h = g.label
             attract, repel = (h.to_end, h.from_end) if g.exp > 0 else (h.from_end, h.to_end)
-            found = set()
-            for key in _crossing(model, repel):
-                holders(relabel.back(key), found)
-            for start in found:
-                for k in cols.pop(start, ()):
-                    rows[k].discard(start)
-                dead.add(start)
+            leaving = relabel.back(key_of(model, "a", repel, 1))
             relabel.then_shift(attract, repel)
+            arriving = relabel.back(key_of(model, "a", attract, 1))
+            for kind in (0, 1):
+                found = set()
+                holders(leaving | kind, found)
+                for start in found:
+                    v = cols.setdefault(start, {start: 1})
+                    v[arriving | kind] = v.pop(leaving | kind)
+                rows.pop(leaving | kind, None)
+                rows[arriving | kind] |= found
         else:
             try:
                 aut = model.automorphism_of_word((g,))
             except UndefinedSymmetry as e:
-                return _Pushed(cols, dead, relabel, e)
+                return _Pushed(cols, relabel, e)
             relabel.then_symmetry(aut)
-    return _Pushed(cols, dead, relabel, None)
+    return _Pushed(cols, relabel, None)
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +412,15 @@ def _support_bound(words: Iterable[Word]) -> int:
     return top + disp + 1
 
 
-def _first_start(basis: TruncatedBasis, skip: set[Key], relabels: tuple[_Relabel, _Relabel] | None = None) -> int:
-    """The rank of the first start outside ``skip``, of those that two different
-    ``relabels`` send apart when given (``basis.size()`` if none). Relabels agree
-    on all of an sn end or none of it, and distinct affine index maps at one
-    chain position at most, so no search lists the basis."""
+def _first_start(basis: TruncatedBasis, skip: set[Key], relabels: tuple[_Relabel, _Relabel]) -> int:
+    """The rank of the first start outside ``skip`` that two different
+    ``relabels`` send apart (``basis.size()`` if none). Relabels agree on all
+    of an sn end or none of it, and distinct affine index maps at one chain
+    position at most, so no search lists the basis."""
     rank, block = 0, 2 * basis.window if basis.model.kind == "sn" else 1  # the keys of one end, or one key
     while rank < basis.size():
         key = basis.key_at(rank)
-        if relabels and relabels[0].forward(key) == relabels[1].forward(key):
+        if relabels[0].forward(key) == relabels[1].forward(key):
             rank += block
         elif key in skip:
             rank += 1
@@ -437,15 +430,14 @@ def _first_start(basis: TruncatedBasis, skip: set[Key], relabels: tuple[_Relabel
 
 
 def verify_identity_homology(w1: Word, w2: Word, window: int | None = None) -> HomologyResult:
-    """Compare the exact homology images of two words column by column,
-    over the columns that the crossing masks on neither side.
+    """Compare the exact homology images of two words column by column.
 
     Columns provably fixed by both words are not compared: on ``sn`` models
     a column whose genus exceeds every touched genus plus the total shift
     displacement never meets a twist class or a shifted strand edge; on the
     chain models the same holds beyond the touched positions plus the total
     translation distance. A ``window`` caps the columns below that bound.
-    Only columns that a twist changed on either side are built.
+    Only columns that a twist or a crossing changed on either side are built.
     """
     if w1.model is not w2.model:
         return HomologyResult("Inconclusive", "model mismatch")
@@ -455,13 +447,10 @@ def verify_identity_homology(w1: Word, w2: Word, window: int | None = None) -> H
     p1 = _push(starts, w1.letters)
     # a replay often checks a word against itself: one push serves both sides
     p2 = p1 if w2.letters == w1.letters else _push(starts, w2.letters)
-    stopped = [p for p in (p1, p2) if p.error]
-    if stopped:
-        # the error of the first start in basis order that was live at one
-        error = min(stopped, key=lambda p: _first_start(starts, p.dead)).error
+    error = p1.error or p2.error
+    if error:
         return HomologyResult("Inconclusive", str(error), 0, checked)
-    dead = p1.dead | p2.dead
-    touched = (p1.cols.keys() | p2.cols.keys()) - dead
+    touched = p1.cols.keys() | p2.cols.keys()
     if p1 is p2:
         ranks = []
     elif p1.relabel.signature() == p2.relabel.signature():
@@ -469,20 +458,16 @@ def verify_identity_homology(w1: Word, w2: Word, window: int | None = None) -> H
         ranks = [starts.rank(k) for k in touched if p1.stored(k) != p2.stored(k)]
     else:
         ranks = [starts.rank(k) for k in touched if p1.image(k) != p2.image(k)]
-        ranks.append(_first_start(starts, touched | dead, (p1.relabel, p2.relabel)))
+        ranks.append(_first_start(starts, touched, (p1.relabel, p2.relabel)))
     first = min(ranks, default=checked)  # the first start whose images differ
     if first < checked:
         key = starts.key_at(first)
-        valid = first + 1 - sum(starts.rank(k) < first for k in dead)
         witness = (
             f"{starts.key_label(key)} maps to "
             f"{_fmt_vec(starts, p1.image(key))} vs {_fmt_vec(starts, p2.image(key))}"
         )
-        return HomologyResult("Refuted", witness, valid, checked)
-    valid = checked - len(dead)
-    if valid == 0:
-        return HomologyResult("Inconclusive", "empty valid subspace", 0, checked)
-    return HomologyResult("Consistent", "", valid, checked)
+        return HomologyResult("Refuted", witness, first + 1, checked)
+    return HomologyResult("Consistent", "", checked, checked)
 
 
 def _fmt_vec(basis: TruncatedBasis, v: Vec) -> str:
@@ -519,26 +504,22 @@ class IntMatrix(Record):
         return "\n".join(lines)
 
     def invalid_note(self) -> str:
-        """One line naming each column that is not valid, in basis order, and
-        why: a masked column has an empty image, any other leaves the window."""
-        notes = [
-            f"{self.basis.key_label(k)} ({'image leaves the window' if self.cols[k] else 'masked at the crossing'})"
-            for k in self.basis.keys()
-            if k not in self.valid
-        ]
+        """One line naming each column that is not valid, in basis order: its
+        image leaves the window."""
+        notes = [f"{self.basis.key_label(k)} (image leaves the window)" for k in self.basis.keys() if k not in self.valid]
         return f"invalid columns: {', '.join(notes) or 'none'}"
 
 
 def word_matrix(basis: TruncatedBasis, w: Word) -> IntMatrix:
     """Matrix of a word on the window's columns: each column is its exact
-    image (empty when the crossing masks it), and it is valid when it was
-    not masked and its image lies inside the window the grid displays."""
+    image, and it is valid when that image lies inside the window the grid
+    displays."""
     keys = basis.keys()
     p = _push(basis, w.letters)
     if p.error:
         raise p.error
-    cols = {k: p.image(k) or {} for k in keys}
-    valid = frozenset(k for k in keys if k not in p.dead and all(map(basis.in_window, cols[k])))
+    cols = {k: p.image(k) for k in keys}
+    valid = frozenset(k for k in keys if all(map(basis.in_window, cols[k])))
     return IntMatrix(basis, cols, valid)
 
 
@@ -548,7 +529,9 @@ def transvection_selftest() -> None:
     and B[1] braid and preserve the pairing, and the twist about C[2] leaves
     b_2 invalid (its image holds a_3, outside the window). On S(3) at
     window 2, h[1,2] moves the attracting strand up and the repelling one
-    down, masks the repelling end's genus-1 column and fixes strand 3."""
+    down, carries the repelling end's first handle to the attracting end's
+    with sign +1 and fixes strand 3; the sign is the one under which
+    h[1,2] C[0,1] h~[1,2] = C[1,2], as the curves are."""
     model = load_model("jacob")
     basis = TruncatedBasis(model, 2)
     key = partial(key_of, model)
@@ -571,13 +554,17 @@ def transvection_selftest() -> None:
 
     sn = load_model("sn", 3)
     a = partial(key_of, sn, "a")
+    basis = TruncatedBasis(sn, 2)
     h, sign = sn.shift(1, 2)
-    m = word_matrix(TruncatedBasis(sn, 2), Word(sn, (Shift(h, sign),)))
+    m = word_matrix(basis, Word(sn, (Shift(h, sign),)))
     for start, image, fact in (
         (a(2, 1), {a(2, 2): 1}, "moves the attracting strand up"),
         (a(1, 2), {a(1, 1): 1}, "moves the repelling strand down"),
-        (a(1, 1), {}, "masks the repelling end's genus-1 column"),
+        (a(1, 1), {a(2, 1): 1}, "carries a_{1,1} to a_{2,1}"),
         (a(3, 1), {a(3, 1): 1}, "fixes strand 3"),
     ):
-        if m.cols[start] != image or (start in m.valid) != bool(image):
+        if m.cols[start] != image:
             raise AssertionError(f"h[1,2] no longer {fact} on S(3)")
+    conj = Word(sn, (Shift(h, sign), Twist(sn.curve("C", 0, 1), 1), Shift(h, -sign)))
+    if word_matrix(basis, conj).cols != word_matrix(basis, Word(sn, (Twist(sn.curve("C", 1, 2), 1),))).cols:
+        raise AssertionError("h[1,2] C[0,1] h~[1,2] and C[1,2] act differently on S(3)")

@@ -526,7 +526,7 @@ def equivalent(
     w1: Word,
     w2: Word,
     budget: int = DEFAULT_BUDGET,
-    # unread; kept for perfbench's cross-oracle call until ROADMAP item 6 drops them
+    # unread; kept for perfbench's cross-oracle call until ROADMAP item 8 drops them
     window: int | None = None,
     oracles: bool = False,
 ) -> ProvedEqual | Unknown:

@@ -235,6 +235,34 @@ def test_verify_chain_script_rejects_other_n(capsys):
     assert "n=2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "thmC", "--n", "5"], "error: thmC.mcg: the Jacob's Ladder model has n=2, not 5\n"),
+        (["normalize", "ID", "--model", "jacob", "--n", "5"], "error: the Jacob's Ladder model has n=2, not 5\n"),
+        (["project", "A[1]", "--model", "lochness", "--n", "5"], "error: the Loch Ness model has n=1, not 5\n"),
+    ],
+    ids=["verify", "normalize", "project"],
+)
+def test_a_chain_model_rejects_an_n_it_cannot_honour(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["project", "R"], "(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17)\n"),
+        (["project", "A[1]", "--model", "lochness"], "()\n"),
+        (["normalize", "ID", "--model", "jacob", "--n", "2"], "ID\n"),
+    ],
+    ids=["sn-default-17", "chain-without-n", "chain-own-n"],
+)
+def test_n_defaults_to_17_on_sn_only(capsys, argv, out):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 def test_normalize_matrix_grid(capsys):
     assert main(["normalize", "A[1]", "--model", "lochness", "--matrix", "--matrix-window", "2"]) == 0
     out = capsys.readouterr().out
@@ -253,16 +281,16 @@ def test_normalize_matrix_grid(capsys):
         ),
         (
             ["h[1,2]", "--model", "sn", "--n", "3"],
-            "invalid columns: A[1,1]-class (masked at the crossing), B[1,1]-class (masked at the crossing),"
-            " A[2,2]-class (image leaves the window), B[2,2]-class (image leaves the window)",
+            "invalid columns: A[2,2]-class (image leaves the window), B[2,2]-class (image leaves the window)",
         ),
     ],
     ids=["jacob-translation", "sn-shift"],
 )
 def test_normalize_matrix_names_the_invalid_columns(capsys, argv, note):
     # the translation by 2 carries indices 1 and 2 past window 2; the shift
-    # masks the repelling end's first handle and carries the attracting
-    # end's top handle out. The grid rows come before the note, unchanged.
+    # carries the attracting end's top handle out, and the repelling end's
+    # first handle onto the attracting end's, inside the window. The grid
+    # rows come before the note, unchanged.
     assert main(["normalize", *argv, "--matrix", "--matrix-window", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     rows = out[1:-1]

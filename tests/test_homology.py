@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import random
@@ -27,6 +28,7 @@ from mcg.homology import (
     verify_identity_homology,
     word_matrix,
 )
+from mcg.script import read_word
 from mcg.sweeps import random_word
 from mcg.words import Shift, Sym, Twist, Word, invert, word
 from oracle_digest import COMMITTED, oracle_digest
@@ -65,15 +67,32 @@ def test_selftest_fails_when_out_of_window_columns_count_as_valid(monkeypatch):
         transvection_selftest()
 
 
-def test_selfcheck_fails_a_kernel_without_the_crossing_mask(monkeypatch, capsys):
-    # without the mask, h[1,2] carries the repelling end's genus-1 column to
-    # genus 0 instead of masking it; only the self test's shift looks there
-    monkeypatch.setattr(mcg.homology, "_crossing", lambda model, repel: ())
+CROSSING = "v[arriving | kind] = v.pop(leaving | kind)"
+
+
+def _mutant_push(new):
+    """``homology._push`` with its crossing line replaced by ``new``."""
+    source = inspect.getsource(mcg.homology._push)
+    assert source.count(CROSSING) == 1
+    namespace = dict(vars(mcg.homology))
+    exec(source.replace(CROSSING, new), namespace)
+    return namespace["_push"]
+
+
+@pytest.mark.parametrize(
+    "crossing",
+    ["v.pop(leaving | kind)", "v[arriving | kind] = -v.pop(leaving | kind)"],
+    ids=["dropped", "negated"],
+)
+def test_selfcheck_fails_a_kernel_with_another_crossing(monkeypatch, capsys, crossing):
+    # dropping the crossing entries is the mask the oracle once had; the
+    # negated sign passes the braid and pairing checks, and only the self
+    # test's shift looks at the crossing
+    monkeypatch.setattr(mcg.homology, "_push", _mutant_push(crossing))
     assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if not line.startswith("[ok]")] == [
-        "[FAIL] transvection sign convention self-test: "
-        "h[1,2] no longer masks the repelling end's genus-1 column on S(3)"
+        "[FAIL] transvection sign convention self-test: h[1,2] no longer carries a_{1,1} to a_{2,1} on S(3)"
     ]
 
 
@@ -243,15 +262,17 @@ def test_shift_matrix_interior_and_mask(lochness):
     assert k("b", 4) not in m.valid
 
 
-def test_sn_shift_edges_masked(sn16):
+def test_sn_shift_carries_the_crossing_handle(sn16):
     basis = TruncatedBasis(sn16, 4)
     k = partial(key_of, sn16)
     h, _ = sn16.shift(1, 2)
     m = word_matrix(basis, W(sn16, Shift(h, 1)))
     assert m.cols[k("a", 2, 2)] == {k("a", 2, 3): 1}  # attracting strand moves up
     assert m.cols[k("a", 1, 2)] == {k("a", 1, 1): 1}  # repelling strand moves down
-    assert k("a", 1, 1) not in m.valid  # would cross the central region
-    assert k("a", 2, 4) not in m.valid  # leaves the window
+    # the repelling end's first handle crosses the central region
+    assert m.cols[k("a", 1, 1)] == {k("a", 2, 1): 1}
+    assert m.cols[k("b", 1, 1)] == {k("b", 2, 1): 1}
+    assert set(basis.keys()) - m.valid == {k("a", 2, 4), k("b", 2, 4)}  # leaves the window
     assert m.cols[k("a", 3, 2)] == {k("a", 3, 2): 1}  # untouched strand
 
 
@@ -261,14 +282,15 @@ def test_shift_times_inverse_identity_on_interior(sn16):
     h, _ = sn16.shift(1, 2)
     w = word(sn16, [Shift(h, 1), Shift(h, -1)])
     m = word_matrix(basis, w)
-    assert _identity_on_valid(m)
     # the inverse shift acts first: strand 2 moves toward the centre, and its
-    # genus-1 column crosses the central region, the only mask. Strand 1
-    # moves out past the window and back, and its top column comes back
-    # valid with its exact image.
-    assert set(basis.keys()) - m.valid == {k("a", 2, 1), k("b", 2, 1)}
+    # genus-1 column crosses the central region onto strand 1's first handle
+    # and back. Strand 1 moves out past the window and back, and its top
+    # column comes back valid with its exact image.
+    assert m.valid == frozenset(basis.keys())
+    assert _identity_on_valid(m)
     assert m.cols[k("a", 1, 5)] == {k("a", 1, 5): 1}
-    assert m.cols[k("a", 2, 1)] == {}
+    assert m.cols[k("a", 2, 1)] == {k("a", 2, 1): 1}
+    assert str(verify_identity_homology(w, Word(sn16, ()))) == "Consistent(128/128 columns)"
 
 
 def test_word_matrix_empty_word(sn16):
@@ -283,7 +305,11 @@ def test_word_matrix_homomorphism_on_valid(sn16):
     # (Farb-Margalit, Prop. 6.3), checked column by column
     w1 = W(sn16, tw(sn16, "A", 1, 1), Sym("R", 1))
     w2 = word(sn16, [tw(sn16, "B", 2, 2), Shift(sn16.shift(1, 2)[0], 1)])
-    _assert_matches_reference(TruncatedBasis(sn16, 5), w1 * w2)
+    basis = TruncatedBasis(sn16, 5)
+    _assert_matches_reference(basis, w1 * w2)
+    # a_{1,1} crosses onto a_{2,1}, which B[2,2] fixes and R carries to a_{3,1}
+    k = partial(key_of, sn16)
+    assert word_matrix(basis, w1 * w2).cols[k("a", 1, 1)] == {k("a", 3, 1): 1}
 
 
 def test_involution_square_identity_matrix(sn17):
@@ -351,29 +377,28 @@ def _aut_key(model, aut, key):
 
 
 def _shift_key(model, h, exp, key):
-    """Basis key carried by the shift ``h^exp``; None when it would cross
-    the central region."""
+    """Basis key carried by the shift ``h^exp``: the attracting strand moves
+    out, the repelling one in, and the repelling end's first handle crosses
+    the central region onto the attracting end's first handle."""
     kind, end, genus = key_tuple(model, key)
     if end not in (h.from_end, h.to_end):
         return key
-    attract = h.to_end if exp > 0 else h.from_end
-    genus = genus + 1 if end == attract else genus - 1
-    if genus < 1:
-        return None
-    return key_of(model, kind, end, genus)
+    attract, repel = (h.to_end, h.from_end) if exp > 0 else (h.from_end, h.to_end)
+    if end == attract:
+        return key_of(model, kind, end, genus + 1)
+    if genus == 1:
+        return key_of(model, kind, attract, 1)
+    return key_of(model, kind, end, genus - 1)
 
 
 def _reference_column(basis, letters, start):
-    """One column pushed exactly through a word on its own; None once a
-    shift carries one of its keys across the central region."""
+    """One column pushed exactly through a word on its own."""
     v = {start: 1}
     for g in reversed(letters):
         if isinstance(g, Twist):
             v = _twist_apply(v, basis.class_of(g.label), g.exp)
         elif isinstance(g, Shift):
             v = {_shift_key(basis.model, g.label, g.exp, k): c for k, c in v.items()}
-            if None in v:
-                return None
         else:
             aut = basis.model.automorphism_of_word([(g.name, g.exp)])
             v = {_aut_key(basis.model, aut, k): c for k, c in v.items()}
@@ -388,9 +413,9 @@ def _assert_matches_reference(basis, w):
             word_matrix(basis, w)
     else:
         m = word_matrix(basis, w)
-        assert m.cols == {k: v or {} for k, v in cols.items()}
+        assert m.cols == cols
         # the window applies once, to the final image
-        assert m.valid == {k for k, v in cols.items() if v is not None and all(map(basis.in_window, v))}
+        assert m.valid == {k for k, v in cols.items() if all(map(basis.in_window, v))}
 
 
 def _reference_verify(w1, w2, window):
@@ -398,22 +423,16 @@ def _reference_verify(w1, w2, window):
     depth = (lambda k: key_tuple(w1.model, k)[2]) if w1.model.kind == "sn" else (lambda k: abs(key_tuple(w1.model, k)[1]))
     bound = _support_bound((w1, w2))
     keys = [k for k in basis.keys() if depth(k) <= bound]
-    valid = 0
     try:
-        for key in keys:
+        for valid, key in enumerate(keys, 1):
             c1 = _reference_column(basis, w1.letters, key)
             c2 = _reference_column(basis, w2.letters, key)
-            if c1 is None or c2 is None:
-                continue
-            valid += 1
             if c1 != c2:
                 witness = f"{basis.key_label(key)} maps to {_fmt_vec(basis, c1)} vs {_fmt_vec(basis, c2)}"
                 return HomologyResult("Refuted", witness, valid, len(keys))
     except UndefinedSymmetry as e:
         return HomologyResult("Inconclusive", str(e), 0, len(keys))
-    if not valid:
-        return HomologyResult("Inconclusive", "empty valid subspace", 0, len(keys))
-    return HomologyResult("Consistent", "", valid, len(keys))
+    return HomologyResult("Consistent", "", len(keys), len(keys))
 
 
 @settings(max_examples=150, deadline=None)
@@ -484,31 +503,58 @@ def test_translation_out_and_back_comes_back_exact(lochness):
 
 def test_shift_edges_found_through_rotation(sn16):
     # R first, then h[1,2]: start end 1 now sits on the attracting end 2 and
-    # start end 16 on the repelling end 1, so those are the masked edges
+    # start end 16 on the repelling end 1, so start end 1's top handle leaves
+    # the window and start end 16's first handle crosses onto end 2
     basis = TruncatedBasis(sn16, 4)
     k = partial(key_of, sn16)
     h, _ = sn16.shift(1, 2)
     w = word(sn16, [Shift(h, 1), Sym("R", 1)])
     m = word_matrix(basis, w)
-    assert set(basis.keys()) - m.valid == {k("a", 1, 4), k("b", 1, 4), k("a", 16, 1), k("b", 16, 1)}
+    assert set(basis.keys()) - m.valid == {k("a", 1, 4), k("b", 1, 4)}
+    assert m.cols[k("a", 16, 1)] == {k("a", 2, 1): 1}
+    assert m.cols[k("b", 16, 1)] == {k("b", 2, 1): 1}
     assert m.cols[k("a", 1, 2)] == {k("a", 2, 3): 1}
     assert m.cols[k("b", 16, 2)] == {k("b", 1, 1): 1}
     assert m.cols[k("a", 3, 2)] == {k("a", 4, 2): 1}
     _assert_matches_reference(basis, w)
 
 
-def test_symmetry_error_fires_on_a_column_masked_on_the_other_side(sn17):
-    # the shift masks a_{1,1} on the left before an unknown symmetry stops
-    # that side; the right reaches tau with a_{1,1} live. a_{1,1} comes first
-    # in basis order, so tau's message wins.
-    with pytest.raises(UndefinedSymmetry) as tau:
-        sn17.automorphism("tau")
+def test_symmetry_error_of_the_left_word_comes_first(sn17):
+    # both sides stop at a symmetry without a label action, the left after a
+    # shift. Every column reaches both symmetries, so the left word's error
+    # is reported, as the per-column reference reports it.
+    with pytest.raises(UndefinedSymmetry) as q:
+        sn17.automorphism("Q")
     h, _ = sn17.shift(1, 2)
     left = word(sn17, [Sym("Q", 1), Shift(h, 1)])
     right = W(sn17, Sym("tau", 1))
     res = verify_identity_homology(left, right, 6)
-    assert str(res) == f"Inconclusive(0/102 columns) [{tau.value}]"
+    assert str(res) == f"Inconclusive(0/102 columns) [{q.value}]"
     assert str(res) == str(_reference_verify(left, right, 6))
+    assert str(verify_identity_homology(right, left, 6)) == str(_reference_verify(right, left, 6))
+
+
+def test_a_twist_seen_only_through_the_crossing_is_refuted(sn16):
+    # only the column a_{2,1} tells the two apart: B[1,2] twists it, and
+    # h~[1,2] then carries it across the central region onto end 1's first
+    # handle
+    pair = [read_word(w, sn16) for w in ("h~[1,2] C~[1,12] h[8,9] B[1,2]", "h~[1,2] C~[1,12] h[8,9]")]
+    res = verify_identity_homology(*pair)
+    assert str(res) == "Refuted(13/192 columns) [A[1,2]-class maps to A[1,1]+B[1,1] vs A[1,1]]"
+    assert str(res) == str(_reference_verify(*pair, 6))
+
+
+@pytest.mark.parametrize("j", [1, 17], ids=["j=1", "j=17"])
+def test_shift_conjugates_the_linking_curve_onto_the_next_strand(monkeypatch, sn17, j):
+    # h[j,j+1] C[0,j] h~[j,j+1] = C[1,j+1] (at j = 17 the ends wrap to 1):
+    # h[j,j+1] carries C[0,j]'s class a_{j,1} - a_{j+1,1} onto C[1,j+1]'s
+    # a_{j+1,1} - a_{j+1,2} only when the crossing keeps its sign
+    pair = (read_word(f"h[{j},{j + 1}] C[0,{j}] h~[{j},{j + 1}]", sn17), read_word(f"C[1,{j + 1}]", sn17))
+    res = verify_identity_homology(*pair)
+    assert res.status == "Consistent"
+    assert res.valid_columns == res.checked_columns == 204
+    monkeypatch.setattr(mcg.homology, "_push", _mutant_push("v[arriving | kind] = -v.pop(leaving | kind)"))
+    assert verify_identity_homology(*pair).status == "Refuted"
 
 
 def test_symmetry_without_label_action_is_inconclusive(sn17):

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -360,6 +361,17 @@ def test_rows_are_uniform_in_n():
         }
         assert all(rows[n] == rows[ns[0]] for n in ns), name
         assert all(verdict not in ("Unknown", "error") for _, verdict, _, _ in rows[ns[0]])
+
+
+@pytest.mark.parametrize("name, n", [*DEFAULT_RUNS, ("thmA", 129), ("thmB", 128)])
+def test_every_judged_row_compares_every_column(name, n):
+    # a shift carries its crossing handle to an exact image, so no column of
+    # a default or wide replay is left out of the comparison
+    judged = [s.oracle for s in replay(load(name), n=n).statements if s.oracle]
+    assert judged
+    for oracle in judged:
+        valid, checked = re.search(r"\((\d+)/(\d+) columns\)", oracle).groups()
+        assert valid == checked, oracle
 
 
 def without_minimum(script):

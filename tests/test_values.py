@@ -172,7 +172,7 @@ def test_mutable_records_compare_by_fields_and_do_not_hash():
         ),
         (ctx, "EvalContext(model=<jacob>, n=2, env={'E': Word(A[1])}, failed={})"),
         (IntMatrix(BASIS, {}, frozenset()), "IntMatrix(basis=TruncatedBasis(model=<jacob>, window=2), cols={}, valid=frozenset())"),
-        (_Pushed({}, set(), None, None), "_Pushed(cols={}, dead=set(), relabel=None, error=None)"),
+        (_Pushed({}, None, None), "_Pushed(cols={}, relabel=None, error=None)"),
     ]
     for x, text in mutable:
         assert repr(x).replace(repr(JACOB), "<jacob>") == text
