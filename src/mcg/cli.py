@@ -105,9 +105,10 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     from .permgroup import Permutation, certify_full_symmetric, group_order
     from .shiftmap import check_shift_properties
     from .sweeps import homology_property_sweep, pairing_preservation_sweep
-    # a bad model file fails before anything is printed
+    # a bad model file, or an --n its chain model does not have, fails
+    # before anything is printed
     if args.model_file:
-        models = [parse_model_file(args.model_file, n=args.n)]
+        models = [_fixed_n(parse_model_file(args.model_file, n=17 if args.n is None else args.n), args.n)]
     else:
         models = [load_model("sn", 16), load_model("sn", 17), load_model("jacob"), load_model("lochness")]
     failures = 0
@@ -156,13 +157,18 @@ def cmd_shiftmap(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _fixed_n(model: SurfaceModel, n: int | None) -> SurfaceModel:
+    """``model``, unless ``n`` was asked for and the model, a chain model
+    that fixes its own n, has another."""
+    if n is not None and n != model.n:
+        raise McgError(f"the {model.describe()} model has n={model.n}, not {n}")
+    return model
+
+
 def _word_model(args: argparse.Namespace) -> SurfaceModel:
     """The model a command-line word is read in: ``--n`` defaults to 17 on
     sn, and a chain model, which fixes its own n, rejects any other."""
-    model = load_model(args.model, 17 if args.n is None and args.model == "sn" else args.n)
-    if args.n is not None and args.n != model.n:
-        raise McgError(f"the {model.describe()} model has n={model.n}, not {args.n}")
-    return model
+    return _fixed_n(load_model(args.model, 17 if args.n is None and args.model == "sn" else args.n), args.n)
 
 
 def cmd_project(args: argparse.Namespace) -> int:
@@ -217,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selfcheck", help="model validation, oracle self-tests, BSGS sanity")
     s.add_argument("--model-file", default=None, help="validate this model file instead of the builtins")
-    s.add_argument("--n", type=int, default=17, help="n for --model-file when it is an sn model")
+    s.add_argument(
+        "--n", type=int, default=None, help="end count of an sn --model-file (default 17); a chain model fixes its own"
+    )
     s.set_defaults(func=cmd_selfcheck)
 
     m = sub.add_parser("shiftmap", help="check the strip model of the handle shift exactly")

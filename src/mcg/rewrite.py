@@ -26,7 +26,10 @@ The strategy is a deterministic loop:
 
 Steps 2 and 3 run on letter numbers (see ``_Ctx``): the trace normal form
 needs only each letter's inverse, commutation class and sort key, so it
-works on small ints. No order depends on the numbers, only on sort keys.
+works on small ints. Commutation is one int per class, a bitset of the
+classes it does not commute with, read from the model's neighbour table
+once, when the class is first seen; a commutation test is a bit test. No
+order depends on the numbers, only on sort keys.
 
 A pair w1 = w2 is decided in one place (``_decide_pair``) from the two
 words' splits: with equal symmetry parts, w1 w2~ pushes to core(w1)
@@ -145,6 +148,15 @@ class _Ctx:
     class, sort key, exponent and kind, so the search compares and hashes
     small ints. No order depends on the numbers: sorts and ranks compare
     sort keys.
+
+    Commutation is kept per class: bit d of ``nc[c]`` is set exactly when
+    classes c and d do not commute. ``cid`` fills ``nc[c]`` once, when it
+    numbers class c, and sets bit c in each earlier class that c does not
+    commute with; a test is then ``nc[c] >> d & 1``. The fill reads only the
+    new class's neighbours: its curve's numbered neighbours and the twists
+    numbered earlier whose curves list it (``_listed``), and on sn the
+    twist and shift classes at its ends (``_twists_at``, ``_shifts_at``),
+    plus every symmetry class (``_syms``).
     """
 
     def __init__(self, model: SurfaceModel):
@@ -157,8 +169,12 @@ class _Ctx:
         self.kind: list[int] = []
         self._ids: dict[tuple, int] = {}  # commutation class -> its number
         self._reps: list[Letter] = []  # one letter of each class, by number
+        self.nc: list[int] = []  # class -> bits of the classes it does not commute with
+        self._syms = 0  # bits of the symmetry classes
+        self._listed: dict[CurveLabel, int] = {}  # unnumbered curve -> bits of the twist classes listing it
+        self._twists_at: dict[int, int] = {}  # sn end -> bits of the twist classes touching it
+        self._shifts_at: dict[int, int] = {}  # sn end -> bits of the shift classes on it
         self.num = _Memo(self._number)  # letter -> number
-        self.comm = _Memo(self._commutes_pair)  # (class, class) -> commute?
         self.twist = _Memo(self._twist)  # (class, exp) -> twist number
         self.shifted = _Memo(self._shifted)  # (shift, twist, sign) -> image number or -1
 
@@ -193,29 +209,55 @@ class _Ctx:
 
     def cid(self, g: Letter) -> int:
         """Number of the commutation class of ``g``: its letter type and
-        label (a symmetry's name), which is all ``commutes`` reads."""
+        label (a symmetry's name), which is all commutation reads. A new
+        class gets its mask here (see ``_fill``)."""
         k = (g.name, Sym) if isinstance(g, Sym) else (g.label, g.__class__)
         hit = self._ids.get(k)
         if hit is None:
             hit = self._ids[k] = len(self._reps)
             self._reps.append(g)
+            self._fill(hit, g)
         return hit
 
-    def _commutes_pair(self, key: tuple[int, int]) -> bool:
-        i, j = key
-        hit = self.comm[(j, i)] = self._commutes(self._reps[i], self._reps[j])
-        return hit
-
-    def _commutes(self, x: Letter, y: Letter) -> bool:
-        if isinstance(x, Sym) or isinstance(y, Sym):
-            return False  # blocked symmetry letters are opaque
-        if isinstance(x, Twist) and isinstance(y, Twist):
-            return self.model.intersection(x.label, y.label) == 0
-        if isinstance(x, Shift) and isinstance(y, Shift):
-            return x.label == y.label or not (x.label.ends & y.label.ends)
-        tw, sh = (x, y) if isinstance(x, Twist) else (y, x)
-        touched = {self.model._norm_end(e) for e in strand_set(tw.label)}
-        return not (touched & sh.label.ends)
+    def _fill(self, c: int, g: Letter) -> None:
+        """Append ``nc[c]`` for the new class ``c`` of ``g`` and set bit c in
+        each earlier class it does not commute with, at a cost in the class's
+        degree. Two twists fail to commute when either curve lists the other
+        as a neighbour; a twist and a shift when the shift has an end the
+        twist's strands touch; two shifts of distinct labels when they share
+        an end. A symmetry letter commutes with nothing, itself included."""
+        nc, bit = self.nc, 1 << c
+        if isinstance(g, Sym):
+            self._syms |= bit
+            for d in range(c):
+                nc[d] |= bit
+            nc.append((bit << 1) - 1)
+            return
+        if isinstance(g, Twist):
+            ids, listed = self._ids, self._listed
+            m = listed.pop(g.label, 0)  # earlier twists whose curves list this one
+            for x in self.model.neighbors(g.label):
+                d = ids.get((x, Twist))
+                if d is None:
+                    listed[x] = listed.get(x, 0) | bit
+                else:
+                    m |= 1 << d
+            if self.model.kind == "sn":
+                for e in {self.model._norm_end(e) for e in strand_set(g.label)}:
+                    m |= self._shifts_at.get(e, 0)
+                    self._twists_at[e] = self._twists_at.get(e, 0) | bit
+        else:
+            m = 0
+            for e in (g.label.from_end, g.label.to_end):
+                m |= self._twists_at.get(e, 0) | self._shifts_at.get(e, 0)
+                self._shifts_at[e] = self._shifts_at.get(e, 0) | bit
+        m |= self._syms
+        rest = m
+        while rest:
+            low = rest & -rest
+            nc[low.bit_length() - 1] |= bit
+            rest ^= low
+        nc.append(m)
 
     def _sort_key(self, g: Letter) -> tuple:
         if isinstance(g, Twist):
@@ -279,13 +321,14 @@ def _canonical(ctx: _Ctx, w: Sequence[int], budget: Budget) -> tuple[int, ...]:
     Sort: the least ready letter goes first, where a letter is ready once
     every earlier letter it does not commute with is placed.
     """
-    inv, cls, keys, comm = ctx.inv, ctx.cls, ctx.keys, ctx.comm
+    inv, cls, keys, nc = ctx.inv, ctx.cls, ctx.keys, ctx.nc
     red: list[int] = []
     ids: list[int] = []  # commutation class of each letter of red
     for g in w:
         gi, gid = inv[g], cls[g]
+        m = nc[gid]
         p = len(red) - 1
-        while p >= 0 and red[p] != gi and comm[(ids[p], gid)]:
+        while p >= 0 and red[p] != gi and not m >> ids[p] & 1:
             p -= 1
         if p >= 0 and red[p] == gi:
             del red[p], ids[p]
@@ -296,8 +339,9 @@ def _canonical(ctx: _Ctx, w: Sequence[int], budget: Budget) -> tuple[int, ...]:
     blockers = [0] * len(red)
     after: list[list[int]] = [[] for _ in red]
     for j, y in enumerate(ids):
+        m = nc[y]
         for i in range(j):
-            if not comm[(ids[i], y)]:
+            if m >> ids[i] & 1:
                 after[i].append(j)
                 blockers[j] += 1
     ready = [(keys[g], p) for p, g in enumerate(red) if not blockers[p]]
@@ -318,22 +362,24 @@ def _canonical(ctx: _Ctx, w: Sequence[int], budget: Budget) -> tuple[int, ...]:
 
 
 def _neighbors(ctx: _Ctx, w: tuple[int, ...]) -> Iterator[tuple[str, list[int]]]:
-    kind, cls, exp, comm, twist = ctx.kind, ctx.cls, ctx.exp, ctx.comm, ctx.twist
+    kind, cls, exp, nc, twist = ctx.kind, ctx.cls, ctx.exp, ctx.nc, ctx.twist
     ids = [cls[g] for g in w]
     n = len(w)
     for j in range(n):
         if kind[w[j]] != TWIST:
             continue
         b = ids[j]
+        mb = nc[b]
         for i in range(j):
             a = ids[i]
             # twists meet once exactly when they do not commute
-            if kind[w[i]] != TWIST or comm[(a, b)]:
+            if kind[w[i]] != TWIST or not mb >> a & 1:
                 continue
+            mab = nc[a] | mb
             for k in range(j + 1, n):
                 if ids[k] != a:  # a twist about the same curve as letter i
                     continue
-                if not all(comm[(ids[p], a)] and comm[(ids[p], b)] for p in range(i + 1, k) if p != j):
+                if any(mab >> ids[p] & 1 for p in range(i + 1, k) if p != j):
                     continue
                 s, t, u = exp[w[i]], exp[w[j]], exp[w[k]]
                 out = list(w)
@@ -351,13 +397,14 @@ def _neighbors(ctx: _Ctx, w: tuple[int, ...]) -> Iterator[tuple[str, list[int]]]
         if kind[g] != SHIFT:
             continue
         h = ids[i]
+        mh = nc[h]
         for k in range(n):
             t = w[k]
-            if k == i or kind[t] != TWIST or comm[(h, ids[k])]:
+            if k == i or kind[t] != TWIST or not mh >> ids[k] & 1:
                 continue
-            c = ids[k]
+            mhc = mh | nc[ids[k]]
             lo, hi = (i, k) if i < k else (k, i)
-            if not all(comm[(ids[p], h)] and comm[(ids[p], c)] for p in range(lo + 1, hi)):
+            if any(mhc >> ids[p] & 1 for p in range(lo + 1, hi)):
                 continue
             img = ctx.shifted[(g, t, 1 if i < k else -1)]
             if img < 0:

@@ -155,6 +155,25 @@ def test_missing_model_file_exit_two(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+def test_selfcheck_model_file_takes_n_as_verify_does(tmp_path, monkeypatch, capsys):
+    # a chain model fixes its own n: selfcheck rejects another, with verify's
+    # message, before it prints a line
+    jacob = tmp_path / "jacob.model"
+    jacob.write_text(builtin_model_text("jacob"))
+    assert main(["selfcheck", "--model-file", str(jacob), "--n", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: the Jacob's Ladder model has n=2, not 5" in err
+    assert main(["verify", "thmC", "--model-file", str(jacob), "--n", "5"]) == 2
+    assert "the Jacob's Ladder model has n=2, not 5" in capsys.readouterr().err
+    # an sn model file without --n is read at n = 17 (small windows keep the run short)
+    monkeypatch.setattr("mcg.cli.SELFCHECK_WINDOW", 2)
+    monkeypatch.setattr("mcg.cli.SELFCHECK_SWEEP_WINDOW", 2)
+    sn = tmp_path / "sn.model"
+    sn.write_text(builtin_model_text("sn"))
+    assert main(["selfcheck", "--model-file", str(sn)]) == 0
+    assert "[ok] validate S(17) at window 2\n" in capsys.readouterr().out
+
+
 def test_non_integer_budget_env_exit_two(monkeypatch, capsys):
     monkeypatch.setenv("MCG_BUDGET", "abc")
     assert main(["verify", "thmC"]) == 2
