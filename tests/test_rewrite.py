@@ -346,7 +346,8 @@ def test_commutation_masks_match_the_definition_in_either_numbering(sn16, sn17, 
                 for d, y in enumerate(reps):
                     assert nc[c] >> d & 1 == (not commutes_by_definition(model, x, y)), (model.describe(), x, y)
             keys = [g.name if isinstance(g, Sym) else (type(g).__name__, g.label) for g in reps]
-            relations.append({(keys[c], keys[d]) for c in range(len(reps)) for d in range(len(reps)) if nc[c] >> d & 1})
+            classes = range(len(reps))
+            relations.append({(keys[c], keys[d]) for c in classes for d in classes if nc[c] >> d & 1})
         assert relations[0] == relations[1]
 
 
